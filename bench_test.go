@@ -1,7 +1,7 @@
 // Benchmarks regenerating every figure and use case of the paper plus the
-// extension experiments of DESIGN.md §4. Each benchmark corresponds to one
-// experiment id; cmd/zigbench prints the same artifacts as tables, and
-// EXPERIMENTS.md records paper-claim vs measured output.
+// extension experiments. Each benchmark corresponds to one experiment id
+// (experiments.IDs(), listed by `zigbench -list`); cmd/zigbench prints the
+// same artifacts as tables.
 //
 // Run all of them with:
 //
@@ -155,7 +155,7 @@ func BenchmarkFigure5ServerRoundTrip(b *testing.B) {
 	if err := cat.Register(synth.BoxOffice(42)); err != nil {
 		b.Fatal(err)
 	}
-	router, err := shard.New(core.DefaultConfig())
+	router, err := shard.NewWithParams(core.DefaultConfig(), nil, shard.Params{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func BenchmarkShardedThroughput(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.Shards = n
 			cfg.Parallelism = 1 // per-request parallelism off: shards provide the concurrency
-			router, err := shard.New(cfg)
+			router, err := shard.NewWithParams(cfg, nil, shard.Params{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -613,7 +613,8 @@ func BenchmarkLinkageAblation(b *testing.B) {
 }
 
 // BenchmarkSamplingAblation measures experiment X7: the warm query path
-// with and without the BlinkDB-style row cap on a 50k-row table.
+// with and without the BlinkDB-style row cap (Options.ApproxRows) on a
+// 50k-row table.
 func BenchmarkSamplingAblation(b *testing.B) {
 	pd := plantedForBench(b, 50000, 26)
 	for _, cap := range []int{0, 10000, 2000} {
@@ -622,10 +623,8 @@ func BenchmarkSamplingAblation(b *testing.B) {
 			name = fmt.Sprintf("sample=%d", cap)
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.SampleRows = cap
-			engine := mustEngine(b, cfg)
-			opts := core.Options{SkipReportCache: true}
+			engine := mustEngine(b, core.DefaultConfig())
+			opts := core.Options{ApproxRows: cap, SkipReportCache: true}
 			if _, err := engine.CharacterizeOpts(pd.Frame, pd.Selection, opts); err != nil {
 				b.Fatal(err)
 			}
@@ -775,7 +774,7 @@ func BenchmarkRemoteAppendShip(b *testing.B) {
 		cfg := core.DefaultConfig()
 		cfg.Shards = 1
 		cfg.Parallelism = 1
-		router, err := shard.New(cfg)
+		router, err := shard.NewWithParams(cfg, nil, shard.Params{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 // Approximate demonstrates the two extension knobs beyond the demo paper's
-// defaults: BlinkDB-style row sampling (Config.SampleRows) for interactive
-// latency on large tables, and the extended Zig-Component families from the
+// defaults: BlinkDB-style row sampling (Options.ApproxRows) for interactive
+// latency on large tables, reported with its provenance block
+// (Report.Approximate), and the extended Zig-Component families from the
 // companion research paper (Config.Extended).
 //
 // Run with:
@@ -17,8 +18,8 @@ import (
 	ziggy "repro"
 )
 
-func run(title string, cfg ziggy.Config, table *ziggy.Frame, sql string, exclude []string) {
-	session, err := ziggy.NewSession(cfg)
+func run(title string, cfg ziggy.Config, table *ziggy.Frame, sql string, opts ziggy.Options) {
+	session, err := ziggy.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,12 +27,14 @@ func run(title string, cfg ziggy.Config, table *ziggy.Frame, sql string, exclude
 		log.Fatal(err)
 	}
 	// Warm the dependency cache so the timing below is the per-query cost
-	// an interactive user feels.
-	if _, err := session.CharacterizeOpts(sql, ziggy.Options{ExcludeColumns: exclude}); err != nil {
+	// an interactive user feels; the timed run skips the report cache,
+	// which would otherwise answer the repeat without computing.
+	if _, err := session.CharacterizeOpts(sql, opts); err != nil {
 		log.Fatal(err)
 	}
+	opts.SkipReportCache = true
 	start := time.Now()
-	report, err := session.CharacterizeOpts(sql, ziggy.Options{ExcludeColumns: exclude})
+	report, err := session.CharacterizeOpts(sql, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,8 +42,9 @@ func run(title string, cfg ziggy.Config, table *ziggy.Frame, sql string, exclude
 
 	fmt.Printf("--- %s ---\n", title)
 	sampled := ""
-	if report.SampledRows > 0 {
-		sampled = fmt.Sprintf(" (statistics from %d sampled rows)", report.SampledRows)
+	if a := report.Approximate; a != nil {
+		sampled = fmt.Sprintf(" (statistics from %d sampled rows, standard errors ×%.1f)",
+			a.SampleRows, a.SEInflation)
 	}
 	fmt.Printf("warm query: %v%s\n", elapsed.Round(time.Millisecond), sampled)
 	for i, view := range report.Views {
@@ -63,18 +67,19 @@ func main() {
 	exclude := []string{"crime_violent_rate"}
 
 	// 1. Exact mode: every row feeds the statistics.
-	run("exact statistics", ziggy.DefaultConfig(), table, sql, exclude)
+	exact := ziggy.Options{ExcludeColumns: exclude}
+	run("exact statistics", ziggy.DefaultConfig(), table, sql, exact)
 
 	// 2. Approximate mode: cap the per-query statistics at 500 rows. The
-	//    views keep their shape; the latency drops.
-	approx := ziggy.DefaultConfig()
-	approx.SampleRows = 500
-	run("sampled statistics (500 rows)", approx, table, sql, exclude)
+	//    views keep their shape; the latency drops, and the report says
+	//    which sample it ran on.
+	approx := ziggy.Options{ExcludeColumns: exclude, ApproxRows: 500}
+	run("sampled statistics (500 rows)", ziggy.DefaultConfig(), table, sql, approx)
 
 	// 3. Extended components: quantile shifts, tail-weight changes,
 	//    entropy changes and categorical↔numeric separation changes join
 	//    the score and the explanations.
 	extended := ziggy.DefaultConfig()
 	extended.Extended = true
-	run("extended Zig-Components", extended, table, sql, exclude)
+	run("extended Zig-Components", extended, table, sql, exact)
 }

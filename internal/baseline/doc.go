@@ -1,5 +1,5 @@
 // Package baseline implements the comparison methods for the accuracy
-// experiments (experiment X3 in DESIGN.md): classic subspace-search
+// experiments (experiment x3 in experiments.IDs()): classic subspace-search
 // approaches that, unlike Ziggy, either operate as statistical black boxes
 // or ignore the exploration context entirely (paper §1's discussion of
 // dimensionality reduction and multidimensional visualization).

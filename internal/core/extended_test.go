@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -115,21 +116,20 @@ func TestSamplingCapsRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.SampleRows = 2000
-	e, err := New(cfg)
+	e, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Characterize(pd.Frame, pd.Selection)
+	rep, err := e.CharacterizeOpts(pd.Frame, pd.Selection, Options{ApproxRows: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.SampledRows == 0 {
+	a := rep.Approximate
+	if a == nil || a.SampleRows == 0 {
 		t.Fatal("sampling did not engage")
 	}
-	if rep.SampledRows > 2200 {
-		t.Fatalf("sampled %d rows, cap was 2000", rep.SampledRows)
+	if a.SampleRows > 2200 {
+		t.Fatalf("sampled %d rows, cap was 2000", a.SampleRows)
 	}
 	// The planted view must still be recovered from the sample.
 	if len(rep.Views) == 0 {
@@ -140,17 +140,51 @@ func TestSamplingCapsRows(t *testing.T) {
 	}
 }
 
-func TestSamplingDisabledBelowCap(t *testing.T) {
-	pd := plantedFixture(t, 33) // 3000 rows
-	cfg := DefaultConfig()
-	cfg.SampleRows = 50000
-	e, _ := New(cfg)
-	rep, err := e.Characterize(pd.Frame, pd.Selection)
-	if err != nil {
-		t.Fatal(err)
+// TestApproxCoveringCapMatchesExact pins the one sampling path at its
+// boundary: a cap at or above the table size samples every row, so the
+// report says so (SampleRows == TotalRows, no SE inflation) and, with the
+// provenance block stripped, encodes to exactly the exact report's bytes.
+func TestApproxCoveringCapMatchesExact(t *testing.T) {
+	robustExtended := DefaultConfig()
+	robustExtended.Robust = true
+	robustExtended.Extended = true
+	configs := map[string]Config{"plain": DefaultConfig(), "robust-extended": robustExtended}
+	// scrubbed encodes a report without its run-dependent fields.
+	scrubbed := func(rep *Report) []byte {
+		c := *rep
+		c.Approximate, c.Timings, c.CacheHit, c.ReportCacheHit = nil, Timings{}, false, false
+		return EncodeReport(&c)
 	}
-	if rep.SampledRows != 0 {
-		t.Fatalf("sampling engaged below the cap: %d", rep.SampledRows)
+	for name, cfg := range configs {
+		for i, seed := range []uint64{36, 37, 38} {
+			pd := plantedFixture(t, seed)
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := e.Characterize(pd.Frame, pd.Selection)
+			if err != nil {
+				t.Fatal(err)
+			}
+			capRows := pd.Frame.NumRows() + i // at and above the table size
+			approx, err := e.CharacterizeOpts(pd.Frame, pd.Selection, Options{ApproxRows: capRows})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := approx.Approximate
+			if a == nil {
+				t.Fatalf("%s/seed %d: approximate run carries no provenance block", name, seed)
+			}
+			if a.SampleRows != approx.TotalRows || a.SEInflation != 1 || a.CapRows != capRows {
+				t.Errorf("%s/seed %d: provenance %+v, want SampleRows=%d SEInflation=1", name, seed, *a, approx.TotalRows)
+			}
+			if len(exact.Views) == 0 {
+				t.Fatalf("%s/seed %d: exact run found no views", name, seed)
+			}
+			if !bytes.Equal(scrubbed(approx), scrubbed(exact)) {
+				t.Errorf("%s/seed %d: full-cover approximate report differs from the exact one", name, seed)
+			}
+		}
 	}
 }
 
@@ -163,14 +197,13 @@ func TestSamplingDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.SampleRows = 1500
-	e, _ := New(cfg)
-	rep1, err := e.Characterize(pd.Frame, pd.Selection)
+	e, _ := New(DefaultConfig())
+	opts := Options{ApproxRows: 1500}
+	rep1, err := e.CharacterizeOpts(pd.Frame, pd.Selection, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := e.Characterize(pd.Frame, pd.Selection)
+	rep2, err := e.CharacterizeOpts(pd.Frame, pd.Selection, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,9 +85,6 @@ type Report struct {
 	Views []View
 	// SelectedRows and TotalRows describe the split sizes.
 	SelectedRows, TotalRows int
-	// SampledRows is the number of rows the per-query statistics actually
-	// consumed when Config.SampleRows capped them; 0 means no sampling.
-	SampledRows int
 	// Approximate is non-nil exactly when the report was computed on a
 	// deterministic sample (Options.ApproxRows > 0) — the flag an
 	// explorer checks before trusting effect magnitudes, and the block

@@ -24,12 +24,14 @@ func FuzzReportCodec(f *testing.F) {
 	f.Add(full[:len(full)-1])
 	truncated := append([]byte(nil), full[:40]...)
 	f.Add(truncated)
-	// Version-2 seeds: a truncation inside the approx block and a header
-	// swapped onto the version-1 body steer the fuzzer at the frame switch.
+	// Approximate seeds: a truncation inside the approx block and the
+	// flag set on an exact body steer the fuzzer at the flag switch.
 	approx := EncodeReport(approxWireFixture())
 	f.Add(approx[:len(approx)-1])
 	f.Add(append([]byte(nil), approx[:20]...))
-	f.Add(append([]byte("ZGR\x02"), full[4:]...))
+	flagged := append([]byte(nil), full...)
+	flagged[4] = 1
+	f.Add(flagged)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := DecodeReport(data)
 		if err != nil {

@@ -50,7 +50,6 @@ func wireFixture() *Report {
 	return &Report{
 		SelectedRows: 42,
 		TotalRows:    1994,
-		SampledRows:  100,
 		Timings:      Timings{Preparation: 3 * time.Millisecond, Search: 5 * time.Millisecond, Post: time.Microsecond},
 		Warnings:     []string{"column \"naïve\" skipped", ""},
 		CacheHit:     true,
@@ -82,7 +81,7 @@ func wireFixture() *Report {
 }
 
 // approxWireFixture is wireFixture with approximate provenance attached —
-// the payload that must travel as a version-2 partial-report frame.
+// the payload whose flag is set and whose block follows the header.
 func approxWireFixture() *Report {
 	rep := wireFixture()
 	rep.Approximate = &Approximate{
@@ -153,23 +152,27 @@ func TestReportCodecEngineOutput(t *testing.T) {
 	}
 }
 
-// TestPartialReportFrame pins the version-2 framing contract: exact reports
-// keep their version-1 bytes untouched (goldens and baselines depend on
-// byte identity), approximate reports are framed as version 2 with the
-// provenance block intact, and the version byte is the on-wire flag.
+// TestPartialReportFrame pins the single-frame contract: exact and
+// approximate reports share one header and one body layout, the flag byte
+// after the header is clear on an exact report and set on an approximate
+// one, and the provenance block between them survives intact.
 func TestPartialReportFrame(t *testing.T) {
 	exact := EncodeReport(wireFixture())
-	if !bytes.Equal(exact[:4], []byte("ZGR\x01")) {
-		t.Fatalf("exact report framed as %q, want version 1", exact[:4])
-	}
-
 	approx := EncodeReport(approxWireFixture())
-	if !bytes.Equal(approx[:4], []byte("ZGR\x02")) {
-		t.Fatalf("approximate report framed as %q, want version 2", approx[:4])
+	for name, enc := range map[string][]byte{"exact": exact, "approx": approx} {
+		if !bytes.Equal(enc[:4], []byte("ZGR\x03")) {
+			t.Fatalf("%s report framed as %q, want version 3", name, enc[:4])
+		}
 	}
-	// Past the approx block, the body is the version-1 body unchanged.
-	if !bytes.Equal(approx[4+6*8:], exact[4:]) {
-		t.Error("version-2 body diverged from the version-1 layout")
+	if exact[4] != 0 {
+		t.Errorf("exact report flag = %d, want 0", exact[4])
+	}
+	if approx[4] != 1 {
+		t.Errorf("approximate report flag = %d, want 1", approx[4])
+	}
+	// Past the approx block, the body is the exact report's body unchanged.
+	if !bytes.Equal(approx[5+6*8:], exact[5:]) {
+		t.Error("approximate body diverged from the exact layout")
 	}
 
 	dec, err := DecodeReport(approx)
@@ -180,40 +183,49 @@ func TestPartialReportFrame(t *testing.T) {
 	if dec.Approximate == nil || *dec.Approximate != *want {
 		t.Errorf("approximate block = %+v, want %+v", dec.Approximate, want)
 	}
-	// A version-1 payload decodes with no approximate block.
 	decExact, err := DecodeReport(exact)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if decExact.Approximate != nil {
-		t.Error("version-1 payload decoded with an approximate block")
+		t.Error("exact payload decoded with an approximate block")
 	}
 }
 
-// TestReportCodecRejectsCorruption covers the strict-decode error paths for
-// both frame versions.
+// TestReportCodecRejectsCorruption covers the strict-decode error paths,
+// including the retired version-1 and version-2 frames and a malformed
+// approximate flag.
 func TestReportCodecRejectsCorruption(t *testing.T) {
 	enc := EncodeReport(wireFixture())
 	encApprox := EncodeReport(approxWireFixture())
+	withByte := func(data []byte, i int, v byte) []byte {
+		out := append([]byte(nil), data...)
+		out[i] = v
+		return out
+	}
 	cases := map[string][]byte{
 		"empty":           {},
 		"short header":    enc[:3],
-		"bad magic":       append([]byte("XXX\x01"), enc[4:]...),
+		"bad magic":       append([]byte("XXX\x03"), enc[4:]...),
 		"future version":  append([]byte("ZGR\x63"), enc[4:]...),
-		"version 3":       append([]byte("ZGR\x03"), encApprox[4:]...),
+		"v1 header":       append([]byte("ZGR\x01"), enc[4:]...),
+		"v2 header":       append([]byte("ZGR\x02"), encApprox[4:]...),
 		"truncated":       enc[:len(enc)/2],
 		"trailing bytes":  append(append([]byte(nil), enc...), 0),
-		"oversized count": append(append([]byte(nil), enc[:4]...), bytes.Repeat([]byte{0xff}, 64)...),
-		// Version-2 frames get the same strictness: a truncation inside the
-		// approx block, mid-body truncation, and trailing garbage all fail.
-		"v2 short approx block": encApprox[:4+3*8],
-		"v2 truncated":          encApprox[:len(encApprox)/2],
-		"v2 trailing bytes":     append(append([]byte(nil), encApprox...), 0),
-		// Cross-version confusion is a decode error, not a misparse: a
-		// version-1 body under a version-2 header reads 48 bytes of approx
-		// block that are not there, and vice versa leaves 48 bytes trailing.
-		"v1 body under v2 header": append([]byte("ZGR\x02"), enc[4:]...),
-		"v2 body under v1 header": append([]byte("ZGR\x01"), encApprox[4:]...),
+		"oversized count": append(append([]byte(nil), enc[:5]...), bytes.Repeat([]byte{0xff}, 64)...),
+		"missing flag":    enc[:4],
+		"flag byte 2":     withByte(enc, 4, 2),
+		// Approximate frames get the same strictness: a truncation inside
+		// the approx block, mid-body truncation, and trailing garbage all
+		// fail.
+		"flag set, truncated block": encApprox[:5+3*8],
+		"approx truncated":          encApprox[:len(encApprox)/2],
+		"approx trailing bytes":     append(append([]byte(nil), encApprox...), 0),
+		// A flipped flag is a decode error, not a misparse: the exact body
+		// read as an approx block misaligns everything after it, and the
+		// approx block read as a body does the same.
+		"flag set on exact body":    withByte(enc, 4, 1),
+		"flag clear on approx body": withByte(encApprox, 4, 0),
 	}
 	for name, data := range cases {
 		if _, err := DecodeReport(data); err == nil {
@@ -221,10 +233,8 @@ func TestReportCodecRejectsCorruption(t *testing.T) {
 		}
 	}
 	// A corrupted bool byte (anything but 0/1) is rejected, not coerced.
-	for name, enc := range map[string][]byte{"v1": enc, "v2": encApprox} {
-		bad := append([]byte(nil), enc...)
-		bad[len(bad)-1] = 7
-		if _, err := DecodeReport(bad); err == nil {
+	for name, enc := range map[string][]byte{"exact": enc, "approx": encApprox} {
+		if _, err := DecodeReport(withByte(enc, len(enc)-1, 7)); err == nil {
 			t.Errorf("%s: invalid bool byte accepted", name)
 		}
 	}

@@ -155,6 +155,46 @@ func (s *SelectStmt) String() string {
 	return b.String()
 }
 
+// PredicateColumns returns the columns referenced in the WHERE clause, in
+// first-seen order without duplicates — the natural candidates for
+// excluding from a characterization of the query. It is nil for a nil
+// statement or one without a WHERE clause.
+func (s *SelectStmt) PredicateColumns() []string {
+	if s == nil || s.Where == nil {
+		return nil
+	}
+	seen := map[string]bool{}
+	var out []string
+	add := func(c string) {
+		if !seen[c] {
+			seen[c] = true
+			out = append(out, c)
+		}
+	}
+	var walk func(e Expr)
+	walk = func(e Expr) {
+		switch x := e.(type) {
+		case *BinaryLogic:
+			walk(x.L)
+			walk(x.R)
+		case *NotExpr:
+			walk(x.Inner)
+		case *Comparison:
+			add(x.Column)
+		case *InExpr:
+			add(x.Column)
+		case *BetweenExpr:
+			add(x.Column)
+		case *LikeExpr:
+			add(x.Column)
+		case *IsNullExpr:
+			add(x.Column)
+		}
+	}
+	walk(s.Where)
+	return out
+}
+
 // Expr is a Boolean predicate node.
 type Expr interface {
 	// String renders the expression as SQL.

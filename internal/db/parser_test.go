@@ -1,6 +1,7 @@
 package db
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -243,5 +244,41 @@ func TestStatementStringRoundTrip(t *testing.T) {
 		if stmt.String() != stmt2.String() {
 			t.Fatalf("round trip diverged:\n%q\n%q", stmt.String(), stmt2.String())
 		}
+	}
+}
+
+func TestPredicateColumns(t *testing.T) {
+	cases := []struct {
+		where string
+		want  []string
+	}{
+		{"", nil},
+		{"a > 1", []string{"a"}},
+		{"b IN ('x', 'y')", []string{"b"}},
+		{"b NOT IN (1, 2)", []string{"b"}},
+		{"c BETWEEN 1 AND 2", []string{"c"}},
+		{"d LIKE 'z%'", []string{"d"}},
+		{"e IS NULL", []string{"e"}},
+		{"e IS NOT NULL", []string{"e"}},
+		{"NOT (a = 1)", []string{"a"}},
+		{"(b = 1 OR a = 2) AND NOT (c < 3 OR (d > 4 AND b = 5))", []string{"b", "a", "c", "d"}},
+		{"a > 1 AND a < 5 OR a = 3", []string{"a"}},
+		{"z = 1 AND a IN (2) AND z BETWEEN 0 AND 9 AND m IS NULL OR a LIKE 'q'", []string{"z", "a", "m"}},
+	}
+	for _, tc := range cases {
+		sql := "SELECT * FROM t"
+		if tc.where != "" {
+			sql += " WHERE " + tc.where
+		}
+		stmt, err := Parse(sql)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		if got := stmt.PredicateColumns(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%q: PredicateColumns = %v, want %v", tc.where, got, tc.want)
+		}
+	}
+	if got := (*SelectStmt)(nil).PredicateColumns(); got != nil {
+		t.Errorf("nil statement: PredicateColumns = %v, want nil", got)
 	}
 }

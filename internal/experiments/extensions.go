@@ -314,8 +314,9 @@ func LinkageAblation(seed uint64, trials int) (*Table, error) {
 }
 
 // SamplingAblation runs experiment X7: characterization accuracy and warm
-// per-query latency as Config.SampleRows shrinks the rows the statistics
-// consume (the BlinkDB-style approximation).
+// per-query latency as the approximate sample cap (Options.ApproxRows)
+// shrinks the rows the statistics consume (the BlinkDB-style
+// approximation). Cap 0 is the exact run.
 func SamplingAblation(seed uint64, trials int) (*Table, error) {
 	if trials < 1 {
 		trials = 1
@@ -325,54 +326,57 @@ func SamplingAblation(seed uint64, trials int) (*Table, error) {
 		Title:  "Sampling ablation: accuracy and latency vs sample cap (N=50000)",
 		Header: []string{"sample rows", "recall", "soft-recall", "warm query(ms)"},
 	}
-	for _, cap := range []int{0, 20000, 10000, 5000, 2000, 500} {
-		var recall, soft float64
-		var elapsed time.Duration
-		for trial := 0; trial < trials; trial++ {
-			pd, err := plantedWorkload(seed+uint64(trial)*211, 50000, 20)
-			if err != nil {
-				return nil, err
-			}
-			cfg := engineConfig()
-			cfg.SampleRows = cap
-			cfg.MaxViews = len(pd.TrueViews)
-			engine, err := core.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			// Warm the dependency cache, then time the query path with the
-			// report memo bypassed so the sampling effect stays visible.
-			if _, err := engine.Characterize(pd.Frame, pd.Selection); err != nil {
-				return nil, err
-			}
+	caps := []int{0, 20000, 10000, 5000, 2000, 500}
+	recall := make([]float64, len(caps))
+	soft := make([]float64, len(caps))
+	elapsed := make([]time.Duration, len(caps))
+	for trial := 0; trial < trials; trial++ {
+		pd, err := plantedWorkload(seed+uint64(trial)*211, 50000, 20)
+		if err != nil {
+			return nil, err
+		}
+		cfg := engineConfig()
+		cfg.MaxViews = len(pd.TrueViews)
+		engine, err := core.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		// Warm the dependency cache, then time the query path with the
+		// report memo bypassed so the sampling effect stays visible.
+		if _, err := engine.Characterize(pd.Frame, pd.Selection); err != nil {
+			return nil, err
+		}
+		for i, cap := range caps {
 			start := time.Now()
 			rep, err := engine.CharacterizeOpts(pd.Frame, pd.Selection,
-				core.Options{SkipReportCache: true})
+				core.Options{ApproxRows: cap, SkipReportCache: true})
 			if err != nil {
 				return nil, err
 			}
-			elapsed += time.Since(start)
+			elapsed[i] += time.Since(start)
 			var views [][]string
 			for _, v := range rep.Views {
 				views = append(views, v.Columns)
 			}
 			m := Score(views, pd.TrueViews)
-			recall += m.Recall
-			soft += m.SoftRecall
+			recall[i] += m.Recall
+			soft[i] += m.SoftRecall
 		}
-		ft := float64(trials)
+	}
+	ft := float64(trials)
+	for i, cap := range caps {
 		label := "exact"
 		if cap > 0 {
 			label = fmt.Sprint(cap)
 		}
-		t.AddRow(label, fmt.Sprintf("%.2f", recall/ft), fmt.Sprintf("%.2f", soft/ft),
-			ms(elapsed/time.Duration(trials)))
+		t.AddRow(label, fmt.Sprintf("%.2f", recall[i]/ft), fmt.Sprintf("%.2f", soft[i]/ft),
+			ms(elapsed[i]/time.Duration(trials)))
 	}
 	t.AddNote("recall holds to a few thousand sampled rows while warm latency drops with the cap")
 	return t, nil
 }
 
-// All runs every experiment in DESIGN.md order.
+// All runs every experiment in IDs() order.
 func All(seed uint64) ([]*Table, error) {
 	type expFn func() (*Table, error)
 	fns := []expFn{
@@ -441,7 +445,8 @@ func ByID(id string, seed uint64) (*Table, error) {
 	}
 }
 
-// IDs lists the experiment identifiers in DESIGN.md order.
+// IDs lists the experiment identifiers in run order; `zigbench -list`
+// prints them.
 func IDs() []string {
 	return []string{"f1", "f2", "f3", "f4", "f5", "uc1", "uc2", "uc3", "x1", "x2", "x3", "x4", "x5", "x6", "x7"}
 }

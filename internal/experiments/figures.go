@@ -300,7 +300,7 @@ func Figure5(seed uint64) (*Table, error) {
 	}
 	cfg := engineConfig()
 	cfg.Shards = 1 // one table, one shard: keep the figure cheap
-	router, err := shard.New(cfg)
+	router, err := shard.NewWithParams(cfg, nil, shard.Params{})
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,8 @@
 // Package experiments regenerates every figure and use case of the paper
-// plus the extension studies listed in DESIGN.md §4. Each experiment is a
-// function returning a Table whose rows are the artifact's content; the
-// zigbench command prints them and the repository-root benchmarks time
-// them. EXPERIMENTS.md records the measured outputs against the paper's
-// claims.
+// plus the extension studies, indexed by IDs() (`zigbench -list`). Each
+// experiment is a function returning a Table whose rows are the artifact's
+// content; the zigbench command prints them and the repository-root
+// benchmarks time them.
 package experiments
 
 import (
@@ -13,7 +12,7 @@ import (
 
 // Table is a printable experiment result.
 type Table struct {
-	// ID is the experiment identifier from DESIGN.md (f1, uc2, x3, ...).
+	// ID is the experiment identifier from IDs() (f1, uc2, x3, ...).
 	ID string
 	// Title describes the artifact being regenerated.
 	Title string

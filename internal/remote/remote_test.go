@@ -63,7 +63,7 @@ func testConfig(shards int) core.Config {
 // shard count behind the worker HTTP API on an httptest server.
 func newWorker(t testing.TB, shards int) (*Worker, *httptest.Server) {
 	t.Helper()
-	router, err := shard.New(testConfig(shards))
+	router, err := shard.NewWithParams(testConfig(shards), nil, shard.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRemoteDeterminism(t *testing.T) {
 
 	// The reference: a plain in-process single-shard router.
 	reference := make([][]byte, len(tables))
-	refRouter, err := shard.New(testConfig(1))
+	refRouter, err := shard.NewWithParams(testConfig(1), nil, shard.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestRemoteDeterminism(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		topologies := map[string]*shard.Router{}
 
-		local, err := shard.New(testConfig(shards))
+		local, err := shard.NewWithParams(testConfig(shards), nil, shard.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestRemoteDeterminism(t *testing.T) {
 
 // TestRemoteApproximateDeterminism extends the determinism pin to the
 // approximate path: for a matrix of (sample cap, seed) configurations, the
-// version-2 partial-report frame produced in process, over HTTP to a remote
+// encoded approximate report produced in process, over HTTP to a remote
 // worker, and over a mixed local/remote topology is byte-identical per
 // configuration across shard counts 1, 2 and 4 — and distinct
 // configurations produce distinct reports, so a cache can never conflate
@@ -186,7 +186,7 @@ func TestRemoteApproximateDeterminism(t *testing.T) {
 	}
 
 	// References: in-process single-shard, one per configuration.
-	refRouter, err := shard.New(testConfig(1))
+	refRouter, err := shard.NewWithParams(testConfig(1), nil, shard.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestRemoteApproximateDeterminism(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		topologies := map[string]*shard.Router{}
 
-		local, err := shard.New(testConfig(shards))
+		local, err := shard.NewWithParams(testConfig(shards), nil, shard.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +446,7 @@ func TestWorkerDownFailover(t *testing.T) {
 // its table store (restart) answers with unknown-fingerprint, and the
 // client re-ships the table exactly once and retries transparently.
 func TestWorkerRestartReships(t *testing.T) {
-	router1, err := shard.New(testConfig(1))
+	router1, err := shard.NewWithParams(testConfig(1), nil, shard.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestWorkerRestartReships(t *testing.T) {
 
 	// "Restart" the worker: a fresh router and an empty table store behind
 	// the same address.
-	router2, err := shard.New(testConfig(1))
+	router2, err := shard.NewWithParams(testConfig(1), nil, shard.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

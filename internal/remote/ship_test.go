@@ -126,7 +126,7 @@ func TestAppendShipsOnlyNewChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := shard.New(testConfig(1))
+	local, err := shard.NewWithParams(testConfig(1), nil, shard.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestAppendShipDeterminism(t *testing.T) {
 		}
 	}
 
-	refRouter, err := shard.New(testConfig(1))
+	refRouter, err := shard.NewWithParams(testConfig(1), nil, shard.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestAppendShipDeterminism(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		topologies := map[string]*shard.Router{}
 
-		local, err := shard.New(testConfig(shards))
+		local, err := shard.NewWithParams(testConfig(shards), nil, shard.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestAppendShipDeterminism(t *testing.T) {
 func TestPartialStoreHeal(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.CacheEntries = 2 // table store holds two versions
-	router, err := shard.New(cfg)
+	router, err := shard.NewWithParams(cfg, nil, shard.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestPartialStoreHeal(t *testing.T) {
 	}
 
 	// The healed table still answers byte-identically.
-	local, err := shard.New(testConfig(1))
+	local, err := shard.NewWithParams(testConfig(1), nil, shard.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestInvalidateFrameEndToEnd(t *testing.T) {
 func TestShippedSetIsBounded(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.CacheEntries = 512 // worker table store outlives the client's shipped set
-	router, err := shard.New(cfg)
+	router, err := shard.NewWithParams(cfg, nil, shard.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package sample provides row-sampling primitives for approximate
 // characterization. The paper's introduction names BlinkDB — exploration
 // through sampling — as one of the systems Ziggy complements; this package
-// lets the engine cap the rows its per-query statistics consume
-// (Config.SampleRows), trading a bounded accuracy loss for latency.
+// lets the engine cap the rows its per-query statistics consume when a run
+// asks for it (Options.ApproxRows), trading a bounded accuracy loss for
+// latency; the report then carries an Approximate provenance block.
 // Experiment X7 quantifies that trade-off.
 //
 // Two primitives are exposed:
@@ -15,6 +16,7 @@
 //     neither side collapses below testability.
 //
 // Both are driven by an explicit randx.Source seeded by the caller; the
-// engine fixes the seed per characterization, so sampled runs are exactly
-// repeatable and remain bit-for-bit identical across worker counts.
+// engine derives the seed from the table and selection fingerprints plus
+// the caller's seed and cap, so sampled runs are exactly repeatable and
+// remain bit-for-bit identical across worker counts.
 package sample

@@ -220,13 +220,23 @@ func optFloat(v float64) *float64 {
 	return &v
 }
 
+// maxRequestBytes bounds a characterize request body: a query and its
+// options, never a table.
+const maxRequestBytes = 1 << 20
+
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
 		return
 	}
 	var req characterizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds %d bytes", maxRequestBytes))
+			return
+		}
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err))
 		return
 	}
@@ -241,7 +251,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := core.Options{ExcludeColumns: req.ExcludeColumns, SkipReportCache: req.SkipReportCache}
 	if req.ExcludePredicate {
-		opts.ExcludeColumns = append(opts.ExcludeColumns, predicateColumns(res.Stmt)...)
+		opts.ExcludeColumns = append(opts.ExcludeColumns, res.Stmt.PredicateColumns()...)
 	}
 	if req.Approximate || req.ApproxRows > 0 {
 		opts.ApproxRows = req.ApproxRows
@@ -319,43 +329,6 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		resp.Views = append(resp.Views, vj)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// predicateColumns extracts the WHERE-referenced columns of a statement.
-func predicateColumns(stmt *db.SelectStmt) []string {
-	if stmt == nil || stmt.Where == nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	var out []string
-	add := func(c string) {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	var walk func(e db.Expr)
-	walk = func(e db.Expr) {
-		switch x := e.(type) {
-		case *db.BinaryLogic:
-			walk(x.L)
-			walk(x.R)
-		case *db.NotExpr:
-			walk(x.Inner)
-		case *db.Comparison:
-			add(x.Column)
-		case *db.InExpr:
-			add(x.Column)
-		case *db.BetweenExpr:
-			add(x.Column)
-		case *db.LikeExpr:
-			add(x.Column)
-		case *db.IsNullExpr:
-			add(x.Column)
-		}
-	}
-	walk(stmt.Where)
-	return out
 }
 
 // statsResponse is the wire form of /api/stats. Prepared aggregates the

@@ -25,7 +25,7 @@ func testServer(t *testing.T) *Server {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Shards = 2 // exercise the sharded path with a pinned count
-	router, err := shard.New(cfg)
+	router, err := shard.NewWithParams(cfg, nil, shard.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +143,28 @@ func TestCharacterizeValidation(t *testing.T) {
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/characterize", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET status %d", rec.Code)
+	}
+}
+
+// TestCharacterizeBodyLimit pins the request-size bound: a body of exactly
+// maxRequestBytes is served, one byte more is answered 413 in the JSON
+// error shape.
+func TestCharacterizeBodyLimit(t *testing.T) {
+	s := testServer(t)
+	padded := func(n int) string {
+		head := `{"sql": "SELECT * FROM boxoffice WHERE gross_musd >= 100"`
+		return head + strings.Repeat(" ", n-len(head)-1) + "}"
+	}
+	if rec, _ := characterize(t, s, padded(maxRequestBytes)); rec.Code != http.StatusOK {
+		t.Fatalf("body at the limit: status %d: %s", rec.Code, rec.Body.String())
+	}
+	rec, _ := characterize(t, s, padded(maxRequestBytes+1))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body over the limit: status %d, want 413: %s", rec.Code, rec.Body.String())
+	}
+	var e map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || len(e) != 1 || e["error"] == "" {
+		t.Fatalf("413 body %q is not the JSON error shape (%v)", rec.Body.String(), err)
 	}
 }
 

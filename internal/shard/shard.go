@@ -30,7 +30,7 @@
 // core.ReportCache keyed by (frame fp, selection fp, config hash, options
 // hash), so a repeat query hits in ~µs no matter which shard, engine
 // instance, or reloaded copy of the table serves it, and the same cache can
-// be shared across routers (ziggy.NewSessionShared). Remote backends extend
+// be shared across routers (ziggy.WithSharedCache). Remote backends extend
 // the same probe across the process boundary: the front asks the owning
 // worker by fingerprint before shipping anything, so repeat queries hit the
 // worker's cache without the table crossing the wire again.
@@ -92,21 +92,11 @@ type Router struct {
 	backends []Backend
 }
 
-// New builds a router with cfg.Shards in-process engine backends
-// (0 = GOMAXPROCS) and a fresh shared report cache bounded by
-// cfg.CacheEntries / cfg.CacheBytes.
-func New(cfg core.Config) (*Router, error) {
-	return NewWithParams(cfg, nil, Params{})
-}
-
-// NewWithCache is New with an externally owned shared report cache, so
-// several routers (e.g. sessions) can serve each other's repeat queries;
-// nil builds a private cache.
-func NewWithCache(cfg core.Config, reports *core.ReportCache) (*Router, error) {
-	return NewWithParams(cfg, reports, Params{})
-}
-
-// NewWithParams is NewWithCache with explicit admission-queue tuning.
+// NewWithParams builds a router with cfg.Shards in-process engine backends
+// (0 = GOMAXPROCS) behind one shared report cache. reports is an externally
+// owned cache, so several routers (e.g. sessions) can serve each other's
+// repeat queries; nil builds a private cache bounded by cfg.CacheEntries /
+// cfg.CacheBytes. p tunes the per-shard admission queues (zero = defaults).
 func NewWithParams(cfg core.Config, reports *core.ReportCache, p Params) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

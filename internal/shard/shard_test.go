@@ -49,7 +49,7 @@ func testConfig(shards int) core.Config {
 
 func mustRouter(t testing.TB, cfg core.Config) *Router {
 	t.Helper()
-	r, err := New(cfg)
+	r, err := NewWithParams(cfg, nil, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +193,11 @@ func TestReloadLandsOnSameShard(t *testing.T) {
 // exactly once.
 func TestSharedCacheAcrossRouters(t *testing.T) {
 	rc := core.NewReportCache(0, 0)
-	ra, err := NewWithCache(testConfig(2), rc)
+	ra, err := NewWithParams(testConfig(2), rc, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := NewWithCache(testConfig(4), rc) // different shard count on purpose
+	rb, err := NewWithParams(testConfig(4), rc, Params{}) // different shard count on purpose
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,12 +470,12 @@ func TestNewWithBackendsValidation(t *testing.T) {
 func TestRouterValidation(t *testing.T) {
 	bad := testConfig(1)
 	bad.MaxDim = 0
-	if _, err := New(bad); err == nil {
+	if _, err := NewWithParams(bad, nil, Params{}); err == nil {
 		t.Error("invalid engine config accepted")
 	}
 	neg := testConfig(0)
 	neg.Shards = -1
-	if _, err := New(neg); err == nil {
+	if _, err := NewWithParams(neg, nil, Params{}); err == nil {
 		t.Error("negative shard count accepted")
 	}
 	if _, err := NewWithParams(testConfig(1), nil, Params{Concurrency: -1}); err == nil {

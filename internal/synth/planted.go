@@ -63,7 +63,7 @@ type PlantedData struct {
 }
 
 // Planted generates a dataset with known characteristic views. The baseline
-// accuracy experiment (experiment X3 in DESIGN.md) measures how well each
+// accuracy experiment (experiment x3 in experiments.IDs()) measures how well each
 // search method recovers TrueViews from Frame + Selection.
 func Planted(cfg PlantedConfig) (*PlantedData, error) {
 	if cfg.Rows < 10 {

@@ -8,8 +8,7 @@
 // shape* that Ziggy exploits: thematically correlated column blocks driven
 // by latent factors, with an outcome variable (crime rate, gross revenue,
 // patactivity) wired to specific blocks so that selections on the outcome
-// exhibit exactly the kinds of characteristic views the paper reports
-// (see DESIGN.md, substitution table).
+// exhibit exactly the kinds of characteristic views the paper reports.
 //
 // All generators are deterministic functions of their seed.
 package synth

@@ -421,12 +421,6 @@ func TestNewOptionTopologies(t *testing.T) {
 	if se.Shards() != 1 {
 		t.Errorf("WithBackends(1 backend): %d shards, want 1", se.Shards())
 	}
-
-	// WithPeers with no addresses contributes no backends, so New falls back
-	// to in-process shards (the legacy constructor rejects the empty list).
-	if _, err := ziggy.NewSessionPeers(ziggy.DefaultConfig()); err == nil {
-		t.Error("NewSessionPeers() accepted an empty peer list")
-	}
 }
 
 // TestOpenCSVStreaming covers the streaming loader end to end: a file opened
