@@ -660,10 +660,13 @@ func thresholdMask(b *testing.B, f *frame.Frame, col string, threshold float64) 
 // (SkipReportCache plus a prepared-tier purge every iteration, so the
 // pipeline itself is paid both times). "incremental" appends onto a sealed
 // base whose full chunks carry over — only the rows past the last chunk
-// boundary rescan for fingerprints and sketches; "cold" characterizes the
-// same grown content built from scratch, paying the whole-table seal. Both
-// arms copy the column storage once per iteration, so the gap is the seal
-// work alone.
+// boundary rescan for fingerprints, prefix moments, and validity words;
+// "cold" characterizes the same grown content built from scratch, paying
+// the whole-table seal. Both arms copy the column storage once per
+// iteration, so the gap is the seal work alone. The engine is sequential
+// (Parallelism 1): per-worker scratch would otherwise scale allocs/op with
+// GOMAXPROCS, and the gated allocation counts must not depend on the
+// machine's core count.
 func BenchmarkAppendCharacterize(b *testing.B) {
 	const rows, cols, chunkRows, tailRows = 20000, 6, 1024, 1000
 	whole := synth.Micro("micro", 7, rows+tailRows, cols)
@@ -724,7 +727,9 @@ func BenchmarkAppendCharacterize(b *testing.B) {
 		return f
 	}
 
-	engine := mustEngine(b, core.DefaultConfig())
+	cfg := core.DefaultConfig()
+	cfg.Parallelism = 1
+	engine := mustEngine(b, cfg)
 	opts := core.Options{SkipReportCache: true}
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/csvio"
 	"repro/internal/frame"
@@ -24,7 +25,7 @@ func main() {
 }
 
 func run() error {
-	dataset := flag.String("dataset", "uscrime", "dataset: uscrime, boxoffice, innovation, planted")
+	dataset := flag.String("dataset", "uscrime", "dataset: "+strings.Join(synth.Names(), ", ")+", planted")
 	seed := flag.Uint64("seed", 42, "generator seed")
 	out := flag.String("out", "", "output CSV path (required)")
 	rows := flag.Int("rows", 2000, "rows for -dataset planted")
@@ -37,14 +38,7 @@ func run() error {
 	}
 
 	var f *frame.Frame
-	switch *dataset {
-	case "uscrime":
-		f = synth.USCrime(*seed)
-	case "boxoffice":
-		f = synth.BoxOffice(*seed)
-	case "innovation":
-		f = synth.Innovation(*seed)
-	case "planted":
+	if *dataset == "planted" {
 		pd, err := synth.Planted(synth.PlantedConfig{
 			Seed: *seed, Rows: *rows, SelectionFraction: *frac,
 			Views: []synth.PlantedView{
@@ -60,8 +54,11 @@ func run() error {
 		f = pd.Frame
 		fmt.Fprintf(os.Stderr, "planted views: %v\nselection: %d rows\n",
 			pd.TrueViews, pd.Selection.Count())
-	default:
-		return fmt.Errorf("unknown dataset %q", *dataset)
+	} else {
+		var err error
+		if f, err = synth.ByName(*dataset, *seed); err != nil {
+			return err
+		}
 	}
 
 	if err := csvio.WriteFile(*out, f); err != nil {

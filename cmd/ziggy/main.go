@@ -22,6 +22,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/depend"
 	"repro/internal/hypo"
+	"repro/internal/synth"
 )
 
 func main() {
@@ -35,7 +36,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ziggy", flag.ContinueOnError)
 	var (
 		csvPath    = fs.String("csv", "", "CSV file to load as the table")
-		dataset    = fs.String("dataset", "", "built-in dataset: uscrime, boxoffice, innovation")
+		dataset    = fs.String("dataset", "", "built-in dataset: "+strings.Join(synth.Names(), ", "))
 		seed       = fs.Uint64("seed", 42, "seed for built-in datasets")
 		query      = fs.String("query", "", "SQL selection to characterize (required)")
 		minTight   = fs.Float64("min-tight", 0.4, "tightness threshold MIN_tight in [0,1]")
@@ -107,7 +108,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	case *dataset != "":
-		f, err := builtinDataset(*dataset, *seed)
+		f, err := synth.ByName(*dataset, *seed)
 		if err != nil {
 			return err
 		}
@@ -155,19 +156,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func builtinDataset(name string, seed uint64) (*ziggy.Frame, error) {
-	switch name {
-	case "uscrime":
-		return ziggy.USCrimeData(seed), nil
-	case "boxoffice":
-		return ziggy.BoxOfficeData(seed), nil
-	case "innovation":
-		return ziggy.InnovationData(seed), nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q (want uscrime, boxoffice or innovation)", name)
-	}
 }
 
 func printReport(out io.Writer, rep *ziggy.QueryReport) {

@@ -35,6 +35,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/csvio"
@@ -132,18 +133,11 @@ func buildServer(opts options, logger *log.Logger) (*server.Server, error) {
 		if name == "" {
 			continue
 		}
-		var err error
-		switch name {
-		case "uscrime":
-			err = catalog.Register(synth.USCrime(opts.seed))
-		case "boxoffice":
-			err = catalog.Register(synth.BoxOffice(opts.seed))
-		case "innovation":
-			err = catalog.Register(synth.Innovation(opts.seed))
-		default:
-			err = fmt.Errorf("unknown dataset %q", name)
-		}
+		f, err := synth.ByName(name, opts.seed)
 		if err != nil {
+			return nil, err
+		}
+		if err := catalog.Register(f); err != nil {
 			return nil, err
 		}
 		if logger != nil {
@@ -200,11 +194,27 @@ func buildServer(opts options, logger *log.Logger) (*server.Server, error) {
 	return server.New(catalog, router, logger), nil
 }
 
+// Connection bounds of the HTTP listener: a client has readHeaderTimeout to
+// send its request headers, and a keep-alive connection idle for
+// idleTimeout is closed. There is deliberately no write timeout — a cold
+// characterization of a wide table can outlast any fixed response
+// deadline.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps handler in a server that bounds slow-header and idle
+// connections.
+func newHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	var csvs csvList
 	addr := flag.String("addr", ":8080", "listen address")
 	datasets := flag.String("datasets", "uscrime,boxoffice",
-		"comma-separated built-in datasets to preload (uscrime, boxoffice, innovation); ignored by -worker")
+		"comma-separated built-in datasets to preload ("+strings.Join(synth.Names(), ", ")+"); ignored by -worker")
 	seed := flag.Uint64("seed", 42, "seed for the built-in datasets")
 	minTight := flag.Float64("min-tight", 0.4, "tightness threshold")
 	maxViews := flag.Int("max-views", 8, "maximum views per query")
@@ -257,7 +267,7 @@ func main() {
 		logger.Fatal(err)
 	}
 	logger.Printf("serving on %s", ln.Addr())
-	if err := http.Serve(ln, handler); err != nil {
+	if err := newHTTPServer(handler).Serve(ln); err != nil {
 		logger.Fatal(err)
 	}
 }

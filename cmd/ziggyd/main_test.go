@@ -264,6 +264,19 @@ func TestBuildServerValidation(t *testing.T) {
 	_ = srv
 }
 
+// TestHTTPServerBoundsConnections pins the listener's connection bounds:
+// slow-header and idle connections time out, while responses have no write
+// deadline because cold characterizations are long.
+func TestHTTPServerBoundsConnections(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v: want both positive", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout %v, want none", srv.WriteTimeout)
+	}
+}
+
 // scrubCacheFlags zeroes the two cache signals in place, so cached
 // responses can be byte-compared against cold ones.
 func scrubCacheFlags(v any) {

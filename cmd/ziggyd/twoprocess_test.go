@@ -211,7 +211,7 @@ func TestTwoProcessAppendShipsChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(canonicalSmoke(rep.Report), canonicalSmoke(localRep.Report)) {
+	if !bytes.Equal(core.EncodeContent(rep.Report), core.EncodeContent(localRep.Report)) {
 		t.Error("cold two-process report diverged from the local session")
 	}
 	cold := shipMeter(t, front)
@@ -232,7 +232,7 @@ func TestTwoProcessAppendShipsChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(canonicalSmoke(rep.Report), canonicalSmoke(localRep.Report)) {
+	if !bytes.Equal(core.EncodeContent(rep.Report), core.EncodeContent(localRep.Report)) {
 		t.Error("post-append two-process report diverged from the local session")
 	}
 	warm := shipMeter(t, front)
@@ -262,16 +262,6 @@ func smokeTable(t *testing.T, lo, n int) *frame.Frame {
 		t.Fatal(err)
 	}
 	return f
-}
-
-// canonicalSmoke mirrors the remote package's canonical(): volatile fields
-// neutralized, then the deterministic wire encoding.
-func canonicalSmoke(rep *core.Report) []byte {
-	c := *rep
-	c.Timings = core.Timings{}
-	c.CacheHit = false
-	c.ReportCacheHit = false
-	return core.EncodeReport(&c)
 }
 
 // shipMeter returns the front's single remote shard snapshot.

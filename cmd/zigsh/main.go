@@ -20,10 +20,11 @@ import (
 	"strings"
 
 	ziggy "repro"
+	"repro/internal/synth"
 )
 
 func main() {
-	dataset := flag.String("dataset", "uscrime", "built-in dataset: uscrime, boxoffice, innovation")
+	dataset := flag.String("dataset", "uscrime", "built-in dataset: "+strings.Join(synth.Names(), ", "))
 	csvPath := flag.String("csv", "", "CSV file to load instead of a built-in dataset")
 	seed := flag.Uint64("seed", 42, "seed for built-in datasets")
 	flag.Parse()
@@ -58,17 +59,11 @@ func newShell(dataset, csvPath string, seed uint64) (*shell, error) {
 			return nil, err
 		}
 	} else {
-		switch dataset {
-		case "uscrime":
-			err = session.Register(ziggy.USCrimeData(seed))
-		case "boxoffice":
-			err = session.Register(ziggy.BoxOfficeData(seed))
-		case "innovation":
-			err = session.Register(ziggy.InnovationData(seed))
-		default:
-			return nil, fmt.Errorf("unknown dataset %q", dataset)
-		}
+		f, err := synth.ByName(dataset, seed)
 		if err != nil {
+			return nil, err
+		}
+		if err := session.Register(f); err != nil {
 			return nil, err
 		}
 	}

@@ -43,6 +43,18 @@ var reportMagic = [4]byte{'Z', 'G', 'R', 3}
 
 const decodingReport = "core: decoding report"
 
+// EncodeContent encodes a report's content identity: EncodeReport with the
+// fields that legitimately differ between servings of one request — Timings
+// and both cache flags — zeroed. Byte equality of the result is the
+// determinism contract across shards, topologies, and cache states.
+func EncodeContent(rep *Report) []byte {
+	c := *rep
+	c.Timings = Timings{}
+	c.CacheHit = false
+	c.ReportCacheHit = false
+	return EncodeReport(&c)
+}
+
 // EncodeReport serializes a report in the versioned wire format. The
 // encoding is canonical: equal reports encode to equal bytes, so encoded
 // reports can be byte-compared (the determinism suites do).

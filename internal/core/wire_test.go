@@ -131,6 +131,28 @@ func TestReportCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeContent pins the content identity: reports that differ only in
+// timings and cache flags encode identically, any content change shows, and
+// the input report is left untouched.
+func TestEncodeContent(t *testing.T) {
+	a, b := wireFixture(), wireFixture()
+	b.Timings = Timings{}
+	b.CacheHit, b.ReportCacheHit = false, true
+	if bytes.Equal(EncodeReport(a), EncodeReport(b)) {
+		t.Fatal("fixtures should differ in serving fields on the wire")
+	}
+	if !bytes.Equal(EncodeContent(a), EncodeContent(b)) {
+		t.Error("content encodings differ on serving fields alone")
+	}
+	if !a.CacheHit || a.Timings != wireFixture().Timings {
+		t.Error("EncodeContent mutated its input")
+	}
+	b.SelectedRows++
+	if bytes.Equal(EncodeContent(a), EncodeContent(b)) {
+		t.Error("content encodings agree on reports with different content")
+	}
+}
+
 // TestReportCodecEngineOutput round-trips a real characterization, the
 // payload the remote layer actually ships.
 func TestReportCodecEngineOutput(t *testing.T) {

@@ -102,8 +102,8 @@ func Read(r io.Reader, name string, opts Options) (*frame.Frame, error) {
 // DefaultInferRows when zero), decides every column's kind from it, then
 // appends the remaining records one at a time while the builder seals chunks
 // as they fill — so the peak footprint is the window plus the frame being
-// built, and the finished frame already carries its chunk fingerprints and
-// sketches. A cell past the window that does not parse under the inferred
+// built, and the finished frame already carries its chunk fingerprints,
+// NULL counts, and means. A cell past the window that does not parse under the inferred
 // kind is an error; widen MaxInferRows or force the column categorical.
 func ReadStream(r io.Reader, name string, opts Options) (*frame.Frame, error) {
 	cr := csv.NewReader(r)

@@ -306,13 +306,13 @@ func centeringMoments(xs []float64) (mean, sxx float64) {
 
 // precomputeColumns builds the per-column state, one task per column. The
 // per-column facts that chunk seals already hold — NULL counts, validity
-// bitmaps, and the running mean — are read off the frame's merged sketches
-// (frame.ColumnSketch) instead of rescanning cells: the sketch moments are
-// prefix accumulators chained across chunks, bit-identical to the flat
-// sequential scan this function used to do, so the matrix is unchanged to
-// the last bit while an appended frame only pays for its new chunks. The
-// centered second moment stays a full scan: it needs the final mean, which
-// an append shifts.
+// bitmaps, and the mean — are read off the frame's column seals
+// (frame.ColumnMean, Column.NullCount, frame.ColumnValidWords) instead of
+// rescanning cells: the seal's Σx is a prefix accumulator chained across
+// chunks, bit-identical to the flat sequential scan this function used to
+// do, so the matrix is unchanged to the last bit while an appended frame
+// only pays for its new chunks. The centered second moment stays a full
+// scan: it needs the final mean, which an append shifts.
 func precomputeColumns(f *frame.Frame, m Measure, workers int) []colStats {
 	n := f.NumCols()
 	info := make([]colStats, n)
@@ -326,13 +326,13 @@ func precomputeColumns(f *frame.Frame, m Measure, workers int) []colStats {
 		cs := &info[i]
 		cs.numeric = true
 		cs.floats = c.Floats()
-		sk := f.ColumnSketch(i)
-		if sk.Nulls > 0 {
+		mean := f.ColumnMean(i) // seals the column, so NullCount is O(1)
+		if c.NullCount() > 0 {
 			cs.valid = f.ColumnValidWords(i)
 			return
 		}
 		if len(cs.floats) >= 2 {
-			cs.mean = sk.Mean()
+			cs.mean = mean
 			for _, x := range cs.floats {
 				d := x - cs.mean
 				cs.sxx += d * d

@@ -3,9 +3,6 @@ package frame
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/memo"
-	"repro/internal/stats"
 )
 
 // Builder assembles a Frame row by row or column by column. It is the
@@ -13,7 +10,7 @@ import (
 // and the synthetic data generators.
 //
 // With SetChunkRows, the builder seals chunks as their rows arrive: every
-// time a column fills a chunk, its fingerprint chain, stats sketch, and
+// time a column fills a chunk, its fingerprint chain, prefix moments, and
 // validity words are computed immediately and carried into the built frame,
 // so a streaming loader emits sealed chunks as it goes and Build hands the
 // frame its chunk metadata instead of deferring a whole-table scan to the
@@ -35,11 +32,11 @@ type colBuilder struct {
 	dict  []string
 	index map[string]int32
 
-	// sealed holds the chunks sealed so far in streaming mode; chunkRows
+	// seal holds the chunks sealed so far in streaming mode; chunkRows
 	// rows each, metadata identical to what a lazy whole-column seal would
-	// compute (chains and sketches are prefix-resumable, so order of
-	// sealing cannot change them).
-	sealed []chunkMeta
+	// compute (every chunk is the state of one flat scan at its end, so
+	// the order of sealing cannot change it).
+	seal colSeal
 }
 
 // NewBuilder creates a Builder for a table with the given name.
@@ -208,17 +205,11 @@ func (b *Builder) maybeSeal(cb *colBuilder) {
 	if n == 0 || n%b.chunkRows != 0 {
 		return
 	}
-	chain := uint64(memo.NewHasher())
-	var prev stats.ChunkSketch
-	if len(cb.sealed) > 0 {
-		last := cb.sealed[len(cb.sealed)-1]
-		chain, prev = last.chain, last.sketch
-	}
 	// A transient Column view over the builder's storage; the metadata is
 	// value-based, so it survives Build's copy into exact-capacity arrays.
 	view := &Column{name: cb.name, kind: cb.kind, floats: cb.floats, codes: cb.codes, dict: cb.dict}
-	cb.sealed = append(cb.sealed, view.sealOneChunk(n-b.chunkRows, n, chain, prev))
-	chunkScans.Add(1)
+	cb.seal.chunkRows = b.chunkRows
+	cb.seal.extend(view, n)
 }
 
 // Build validates column lengths and returns the finished Frame. In
@@ -242,8 +233,8 @@ func (b *Builder) Build() (*Frame, error) {
 				c.index[v] = int32(code)
 			}
 		}
-		if len(cb.sealed) > 0 {
-			c.seal.Store(&colSeal{chunkRows: b.chunkRows, chunks: cb.sealed[:len(cb.sealed):len(cb.sealed)]})
+		if k := len(cb.seal.chunks); k > 0 {
+			c.seal.Store(cb.seal.prefix(k))
 		}
 		cols = append(cols, c)
 	}

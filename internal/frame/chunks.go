@@ -3,32 +3,32 @@ package frame
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/memo"
-	"repro/internal/stats"
 )
 
 // Chunked columns. A column's rows are carved into fixed-capacity chunks;
-// each sealed chunk carries a fingerprint (the column's FNV-1a payload hash
-// chain snapshotted at the chunk's end), a mergeable stats sketch
-// (stats.ChunkSketch, with prefix-chained moments), and the chunk's slice of
-// the validity bitmap. Because every per-chunk quantity is either a prefix
-// of a flat left-to-right scan (hash chain, moments) or chunk-local with an
-// exact merge (counts, extrema, validity words aligned to 64-row
-// boundaries), the seal of a column is a pure function of its cells — the
-// same for every chunk layout — and Append can transplant the full-chunk
-// prefix of a base column and scan only the rows past the last full chunk
-// boundary. Storage stays contiguous: chunks are metadata over the one
-// backing array, so kernels, splits, and codecs read columns exactly as
-// before.
+// each sealed chunk records the column's FNV-1a payload hash chain
+// snapshotted at the chunk's end (its fingerprint) and the prefix non-NULL
+// count and Σx through that end, and the column keeps one whole-column
+// validity bitmap whose words for chunk j are the sub-slice covering the
+// chunk's rows. Every per-chunk quantity is the state of one flat
+// left-to-right scan at the chunk's end, and chunk capacities are multiples
+// of 64 so validity words never straddle a boundary — the seal of a column
+// is therefore a pure function of its cells, the same for every chunk
+// layout, and Append can transplant the full-chunk prefix of a base column
+// and scan only the rows past the last full chunk boundary. Storage stays
+// contiguous: chunks are metadata over the one backing array, so kernels,
+// splits, and codecs read columns exactly as before.
 //
 // Seals are cached on the Column (not the Frame) so frames that share
 // columns — Select views, appended descendants — share the work.
 
 // DefaultChunkRows is the chunk capacity used when a frame does not choose
-// one. It is a multiple of 64 so full-chunk validity bitmaps concatenate
-// word-exactly.
+// one. It is a multiple of 64 so chunk validity words are word-aligned
+// sub-slices of the column's bitmap.
 const DefaultChunkRows = 4096
 
 // normalizeChunkRows maps a requested chunk capacity into the valid domain:
@@ -56,7 +56,8 @@ var chunkScans atomic.Int64
 // full chunks reports only the chunks past the last full boundary.
 func ChunkScans() int64 { return chunkScans.Load() }
 
-// chunkMeta is one sealed chunk of one column.
+// chunkMeta is one sealed chunk of one column: the state of a flat
+// left-to-right scan of the column at the chunk's last row.
 type chunkMeta struct {
 	// end is the exclusive row index of the chunk's end; its start is the
 	// previous chunk's end (0 for the first).
@@ -65,139 +66,117 @@ type chunkMeta struct {
 	// after folding every cell through end — resumable by the next chunk,
 	// and layout-independent at any given row index.
 	chain uint64
-	// sketch carries the chunk's mergeable statistics (prefix moments).
-	sketch stats.ChunkSketch
-	// valid is the chunk's slice of the non-NULL bitmap, one bit per row in
-	// chunk order. Full chunks hold exactly chunkRows/64 words.
-	valid []uint64
+	// count is the number of non-NULL rows in [0, end); NULLs through the
+	// chunk are end − count.
+	count int
+	// sum is Σx over the non-NULL numeric values in [0, end), accumulated
+	// in row order, so the last chunk's sum/count is bit-identical to
+	// stats.Mean over the column's non-NULL cells. Zero for categorical
+	// columns.
+	sum float64
 }
 
-// colSeal is the sealed view of one column under one chunk capacity.
+// colSeal is the sealed view of one column under one chunk capacity. It is
+// complete when its chunks cover every row of the column; seals seeded by
+// Append or a streaming Builder hold a full-chunk prefix and complete on
+// first use.
 type colSeal struct {
 	chunkRows int
 	chunks    []chunkMeta
-	// finalized reports that chunks cover every row AND the merged view
-	// below was computed. Seals seeded by Append or a streaming Builder are
-	// stored unfinalized (a chunk prefix only) and complete on first use —
-	// coverage alone cannot distinguish a boundary-aligned prefix from a
-	// finished seal.
-	finalized bool
-	// merged is the fold of all chunk sketches: exact totals, extrema, and
-	// the flat-scan-identical running moments.
-	merged stats.ColumnSketch
-	// valid is the whole-column non-NULL bitmap, the concatenation of the
-	// per-chunk words — bit-identical to a flat scan because chunk
-	// capacities are multiples of 64.
+	// valid is the non-NULL bitmap over the covered rows (bit r set ⇔ row
+	// r is non-NULL); chunk j's words are valid[start/64 : (end+63)/64].
 	valid []uint64
 }
 
+// last returns the final sealed chunk, or the state of an empty scan (the
+// FNV offset basis, no rows) when nothing is sealed yet.
+func (s *colSeal) last() chunkMeta {
+	if len(s.chunks) == 0 {
+		return chunkMeta{chain: uint64(memo.NewHasher())}
+	}
+	return s.chunks[len(s.chunks)-1]
+}
+
 // covered returns the number of rows the seal accounts for.
-func (s *colSeal) covered() int {
-	if len(s.chunks) == 0 {
-		return 0
-	}
-	return s.chunks[len(s.chunks)-1].end
+func (s *colSeal) covered() int { return s.last().end }
+
+// prefix returns a seal holding s's first k chunks, which must be full. Both
+// slices are capped at their length, so extending the result copies instead
+// of writing into s's arrays: a grown frame never touches its base's words.
+func (s *colSeal) prefix(k int) *colSeal {
+	w := k * s.chunkRows / 64
+	return &colSeal{chunkRows: s.chunkRows, chunks: s.chunks[:k:k], valid: s.valid[:w:w]}
 }
 
-// chainEnd returns the raw payload hash-chain state after the last sealed
-// row (the FNV offset basis for an empty column).
-func (s *colSeal) chainEnd() uint64 {
-	if len(s.chunks) == 0 {
-		return uint64(memo.NewHasher())
+// extend seals c's rows from s's coverage through row n, one chunk at a
+// time.
+func (s *colSeal) extend(c *Column, n int) {
+	start := s.covered()
+	if start >= n {
+		return
 	}
-	return s.chunks[len(s.chunks)-1].chain
+	s.chunks = slices.Grow(s.chunks, (n-start+s.chunkRows-1)/s.chunkRows)
+	s.valid = slices.Grow(s.valid, (n+63)/64-len(s.valid))
+	for start < n {
+		end := min(start+s.chunkRows, n)
+		words := (end - start + 63) / 64
+		s.valid = append(s.valid, make([]uint64, words)...)
+		s.chunks = append(s.chunks, c.sealOneChunk(start, end, s.last(), s.valid[len(s.valid)-words:]))
+		start = end
+		chunkScans.Add(1)
+	}
 }
 
-// sealChunks returns the column's seal under the given chunk capacity,
-// computing or extending it if needed. A cached seal with the same capacity
-// is extended in place-of: chunks it already sealed are reused and only rows
-// past its coverage are scanned — this is how an appended column, seeded
-// with its base's full-chunk prefix, seals by scanning only the new rows.
+// sealChunks returns the column's complete seal under the given chunk
+// capacity, computing or extending it if needed. Chunks a cached seal with
+// the same capacity already holds are reused and only rows past its
+// coverage are scanned — this is how an appended column, seeded with its
+// base's full-chunk prefix, seals by scanning only the new rows.
 func (c *Column) sealChunks(chunkRows int) *colSeal {
 	chunkRows = normalizeChunkRows(chunkRows)
-	if s := c.seal.Load(); s != nil && s.chunkRows == chunkRows && s.finalized && s.covered() == c.Len() {
+	if s := c.seal.Load(); s != nil && s.chunkRows == chunkRows && s.covered() == c.Len() {
 		return s
 	}
 	c.sealMu.Lock()
 	defer c.sealMu.Unlock()
 	s := c.seal.Load()
-	if s != nil && s.chunkRows == chunkRows && s.finalized && s.covered() == c.Len() {
+	if s != nil && s.chunkRows == chunkRows && s.covered() == c.Len() {
 		return s
 	}
-	var prefix []chunkMeta
+	ns := &colSeal{chunkRows: chunkRows}
 	if s != nil && s.chunkRows == chunkRows {
-		prefix = s.chunks
+		ns = s.prefix(len(s.chunks))
 	}
-	ns := c.buildSeal(chunkRows, prefix)
+	ns.extend(c, c.Len())
 	c.seal.Store(ns)
 	return ns
 }
 
-// buildSeal seals the column's chunks from the end of prefix (which must be
-// boundary-aligned sealed chunks of this column's cells under the same
-// capacity) through the last row, then merges.
-func (c *Column) buildSeal(chunkRows int, prefix []chunkMeta) *colSeal {
-	n := c.Len()
-	s := &colSeal{chunkRows: chunkRows}
-	s.chunks = append([]chunkMeta(nil), prefix...)
-	start := 0
-	chain := uint64(memo.NewHasher())
-	var prev stats.ChunkSketch
-	if len(prefix) > 0 {
-		last := prefix[len(prefix)-1]
-		start, chain, prev = last.end, last.chain, last.sketch
-	}
-	for start < n {
-		end := start + chunkRows
-		if end > n {
-			end = n
-		}
-		cm := c.sealOneChunk(start, end, chain, prev)
-		s.chunks = append(s.chunks, cm)
-		chain, prev = cm.chain, cm.sketch
-		start = end
-		chunkScans.Add(1)
-	}
-	sketches := make([]stats.ChunkSketch, len(s.chunks))
-	words := 0
-	for i, cm := range s.chunks {
-		sketches[i] = cm.sketch
-		words += len(cm.valid)
-	}
-	s.merged = stats.MergeSketches(sketches, c.kind == Categorical)
-	s.valid = make([]uint64, 0, words)
-	for _, cm := range s.chunks {
-		s.valid = append(s.valid, cm.valid...)
-	}
-	s.finalized = true
-	return s
-}
-
-// sealOneChunk scans rows [start, end): it extends the payload hash chain,
-// seals the chunk sketch from the previous chunk's prefix state, and builds
-// the chunk's validity words.
-func (c *Column) sealOneChunk(start, end int, chain uint64, prev stats.ChunkSketch) chunkMeta {
-	cm := chunkMeta{end: end, valid: make([]uint64, (end-start+63)/64)}
-	h := memo.Hasher(chain)
+// sealOneChunk is the only pass over a chunk's cells: it scans rows
+// [start, end) once, folding each cell into the payload hash chain, its
+// validity bit into valid (the chunk's zeroed words), and non-NULL values
+// into the prefix count and Σx resumed from prev, the previous chunk.
+func (c *Column) sealOneChunk(start, end int, prev chunkMeta, valid []uint64) chunkMeta {
+	cm := chunkMeta{end: end, count: prev.count, sum: prev.sum}
+	h := memo.Hasher(prev.chain)
 	switch c.kind {
 	case Numeric:
-		vals := c.floats[start:end]
-		for i, v := range vals {
+		for i, v := range c.floats[start:end] {
 			h.Uint64(math.Float64bits(v))
 			if !math.IsNaN(v) {
-				cm.valid[i>>6] |= 1 << (uint(i) & 63)
+				valid[i>>6] |= 1 << (uint(i) & 63)
+				cm.count++
+				cm.sum += v
 			}
 		}
-		cm.sketch = stats.SketchNumericChunk(prev, vals)
 	case Categorical:
-		codes := c.codes[start:end]
-		for i, code := range codes {
+		for i, code := range c.codes[start:end] {
 			h.Uint32(uint32(code))
 			if code >= 0 {
-				cm.valid[i>>6] |= 1 << (uint(i) & 63)
+				valid[i>>6] |= 1 << (uint(i) & 63)
+				cm.count++
 			}
 		}
-		cm.sketch = stats.SketchCategoricalChunk(prev, codes, len(c.dict))
 	}
 	cm.chain = uint64(h)
 	return cm
@@ -214,12 +193,21 @@ func (f *Frame) NumChunks() int {
 	return (f.numRows + cr - 1) / cr
 }
 
-// ColumnSketch returns the merged statistics sketch of column i, sealing
-// its chunks if needed: exact row/NULL counts and extrema, plus running
-// moments bit-identical to a flat scan — the preparation stage reads means
-// and NULL counts here instead of rescanning cells.
-func (f *Frame) ColumnSketch(i int) stats.ColumnSketch {
-	return f.cols[i].sealChunks(f.chunkRows).merged
+// ColumnMean returns the mean of the non-NULL values of numeric column i
+// (NaN when there are none), read off the column's seal — sealing it if
+// needed — instead of rescanning cells. It is bit-identical to stats.Mean
+// over the non-NULL cells for every chunk layout and append history. It
+// panics on categorical columns.
+func (f *Frame) ColumnMean(i int) float64 {
+	c := f.cols[i]
+	if c.kind != Numeric {
+		panic(fmt.Sprintf("frame: ColumnMean on %s column %q", c.kind, c.name))
+	}
+	last := c.sealChunks(f.chunkRows).last()
+	if last.count == 0 {
+		return math.NaN()
+	}
+	return last.sum / float64(last.count)
 }
 
 // ColumnValidWords returns the non-NULL bitmap words of column i (bit r set
@@ -231,7 +219,8 @@ func (f *Frame) ColumnValidWords(i int) []uint64 {
 
 // ChunkBounds returns the row range [start, end) of chunk j under the
 // frame's chunk capacity. Chunk starts are always multiples of the capacity
-// (itself a multiple of 64), so per-chunk validity bitmaps are word-aligned.
+// (itself a multiple of 64), so a chunk's validity words are the
+// word-aligned sub-slice ColumnValidWords(i)[start/64 : (end+63)/64].
 func (f *Frame) ChunkBounds(j int) (start, end int) {
 	cr := f.ChunkRows()
 	start = j * cr
@@ -259,8 +248,8 @@ func (f *Frame) FullChunks() int { return f.numRows / f.ChunkRows() }
 // The caller is responsible for content: adopting a prefix asserts that
 // base's cells over those chunks are identical to f's (verify with
 // ChunkFingerprints — chunk j's fingerprint commits to every cell through
-// j). Adopting a mismatched prefix yields a frame whose fingerprint and
-// sketches describe the base's cells, not f's.
+// j). Adopting a mismatched prefix yields a frame whose fingerprint, NULL
+// counts, and means describe the base's cells, not f's.
 func (f *Frame) AdoptChunkPrefix(base *Frame, fullChunks int) error {
 	if fullChunks <= 0 {
 		return nil
@@ -301,7 +290,7 @@ func (f *Frame) AdoptChunkPrefix(base *Frame, fullChunks int) error {
 			return fmt.Errorf("frame: adopt prefix: column %q base seal covers %d chunks, want %d full",
 				c.name, len(s.chunks), fullChunks)
 		}
-		c.seal.Store(&colSeal{chunkRows: s.chunkRows, chunks: s.chunks[:fullChunks:fullChunks]})
+		c.seal.Store(s.prefix(fullChunks))
 	}
 	return nil
 }
@@ -383,17 +372,12 @@ func (f *Frame) Append(rows *Frame) (*Frame, error) {
 
 // adoptSealPrefix seeds c's seal with base's sealed full chunks (sealing
 // base first if needed — its cells are a prefix of c's, so the chain,
-// sketch, and validity metadata carry over verbatim). A trailing partial
-// chunk of base is dropped: its sketch histogram and validity words are
-// chunk-local and would change once the chunk fills, so its rows rescan.
+// prefix moments, and validity words carry over verbatim). A trailing
+// partial chunk of base is dropped: a chunk's metadata is the scan state at
+// its end row, which moves once the chunk fills, so its rows rescan.
 func (c *Column) adoptSealPrefix(base *Column, chunkRows int) {
 	s := base.sealChunks(chunkRows)
-	full := len(s.chunks)
-	if full > 0 && s.chunks[full-1].end%s.chunkRows != 0 {
-		full--
+	if full := base.Len() / s.chunkRows; full > 0 {
+		c.seal.Store(s.prefix(full))
 	}
-	if full == 0 {
-		return
-	}
-	c.seal.Store(&colSeal{chunkRows: s.chunkRows, chunks: s.chunks[:full:full]})
 }

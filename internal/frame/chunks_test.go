@@ -3,30 +3,30 @@ package frame
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
 )
 
-// sketchesMatch compares merged sketches on the fields with exact-merge
-// semantics: counts, extrema (NaN-aware), and the bit-exact prefix moments.
-// The numeric value histogram is deliberately excluded — its merge re-bins
-// per-chunk buckets, which is approximate and layout-dependent by design —
-// but categorical histograms (exact per-code sums) must match when
-// exactHist is set.
-func sketchesMatch(a, b stats.ColumnSketch, exactHist bool) bool {
-	feq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	if a.Rows != b.Rows || a.Nulls != b.Nulls || a.Count != b.Count {
-		return false
+// sealsMatch reports the first seal-derived quantity on which column i of
+// got and want differ: NULL count, mean bits (numeric columns), or validity
+// words. It returns "" when they agree.
+func sealsMatch(got, want *Frame, i int) string {
+	if g, w := got.Col(i).NullCount(), want.Col(i).NullCount(); g != w {
+		return fmt.Sprintf("NullCount %d, want %d", g, w)
 	}
-	if !feq(a.Min, b.Min) || !feq(a.Max, b.Max) || !feq(a.Sum, b.Sum) || !feq(a.SumSq, b.SumSq) {
-		return false
+	if got.Col(i).Kind() == Numeric {
+		if g, w := got.ColumnMean(i), want.ColumnMean(i); math.Float64bits(g) != math.Float64bits(w) {
+			return fmt.Sprintf("mean %v (%x), want %v (%x)", g, math.Float64bits(g), w, math.Float64bits(w))
+		}
 	}
-	if exactHist && !reflect.DeepEqual(a.Hist, b.Hist) {
-		return false
+	if !reflect.DeepEqual(got.ColumnValidWords(i), want.ColumnValidWords(i)) {
+		return "validity words differ"
 	}
-	return true
+	return ""
 }
 
 // buildChunked builds a two-column (numeric + categorical) frame over n rows
@@ -60,18 +60,28 @@ func buildChunked(t *testing.T, n, chunkRows int) *Frame {
 func TestSealLayoutInvariance(t *testing.T) {
 	const n = 333
 	base := buildChunked(t, n, 0) // DefaultChunkRows: one chunk
+	// The finest layout has a chunk boundary wherever any coarser one does;
+	// a chunk's fingerprint is the chain state at its end row, so it must
+	// match the finest layout's fingerprint at that row.
+	fine := buildChunked(t, n, 64)
 	for _, cr := range []int{64, 128, 256, DefaultChunkRows} {
 		f := buildChunked(t, n, cr)
 		if got, want := f.Fingerprint(), base.Fingerprint(); got != want {
 			t.Errorf("chunkRows=%d: fingerprint %x, want %x", cr, got, want)
 		}
 		for i := 0; i < f.NumCols(); i++ {
-			a, b := f.ColumnSketch(i), base.ColumnSketch(i)
-			if !sketchesMatch(a, b, f.Col(i).Kind() == Categorical) {
-				t.Errorf("chunkRows=%d col %d: merged sketch %+v, want %+v", cr, i, a, b)
+			if diff := sealsMatch(f, base, i); diff != "" {
+				t.Errorf("chunkRows=%d col %d: %s", cr, i, diff)
 			}
-			if !reflect.DeepEqual(f.ColumnValidWords(i), base.ColumnValidWords(i)) {
-				t.Errorf("chunkRows=%d col %d: valid words differ from flat layout", cr, i)
+			atEnd := map[int]uint64{}
+			for j, fp := range fine.ChunkFingerprints(i) {
+				_, end := fine.ChunkBounds(j)
+				atEnd[end] = fp
+			}
+			for j, fp := range f.ChunkFingerprints(i) {
+				if _, end := f.ChunkBounds(j); fp != atEnd[end] {
+					t.Errorf("chunkRows=%d col %d chunk %d: fingerprint %x, want %x at row %d", cr, i, j, fp, atEnd[end], end)
+				}
 			}
 		}
 	}
@@ -145,11 +155,11 @@ func TestAppendEquivalentToWholeBuild(t *testing.T) {
 		t.Errorf("appended fingerprint %x, want %x", got.Fingerprint(), whole.Fingerprint())
 	}
 	for i := 0; i < whole.NumCols(); i++ {
-		if !sketchesMatch(got.ColumnSketch(i), whole.ColumnSketch(i), whole.Col(i).Kind() == Categorical) {
-			t.Errorf("col %d: appended sketch %+v, want %+v", i, got.ColumnSketch(i), whole.ColumnSketch(i))
+		if diff := sealsMatch(got, whole, i); diff != "" {
+			t.Errorf("col %d: appended %s", i, diff)
 		}
-		if !reflect.DeepEqual(got.ColumnValidWords(i), whole.ColumnValidWords(i)) {
-			t.Errorf("col %d: appended valid words differ", i)
+		if !reflect.DeepEqual(got.ChunkFingerprints(i), whole.ChunkFingerprints(i)) {
+			t.Errorf("col %d: appended chunk fingerprints differ", i)
 		}
 		for r := 0; r < whole.NumRows(); r++ {
 			if !reflect.DeepEqual(got.Col(i).Value(r), whole.Col(i).Value(r)) {
@@ -354,14 +364,14 @@ func TestNullCountReadsSeal(t *testing.T) {
 
 func TestInvalidateFingerprintDropsSeals(t *testing.T) {
 	f := buildChunked(t, 128, 64)
-	fp := f.Fingerprint()
+	fp, mean := f.Fingerprint(), f.ColumnMean(0)
 	f.Col(0).floats[0] = 12345.678 // in-place mutation, against convention
 	f.InvalidateFingerprint()
 	if got := f.Fingerprint(); got == fp {
 		t.Error("fingerprint unchanged after invalidate + mutation")
 	}
-	if f.ColumnSketch(0).Max < 12345 {
-		t.Error("sketch not resealed after invalidate")
+	if got := f.ColumnMean(0); got == mean {
+		t.Error("seal not rebuilt after invalidate: mean unchanged")
 	}
 }
 
@@ -466,5 +476,122 @@ func TestAdoptChunkPrefixRejectsMismatch(t *testing.T) {
 	}
 	if err := f.AdoptChunkPrefix(divergent, 1); err == nil {
 		t.Error("divergent dictionary accepted")
+	}
+}
+
+// TestSealMeanMatchesFlatScan is the bit-identity rail of the seal-backed
+// mean: it must equal stats.Mean over the flat non-NULL cells — the exact
+// left-to-right accumulation the dependency matrix used to do itself — for
+// every chunk capacity, for a streaming Builder, and across a two-step
+// Append history.
+func TestSealMeanMatchesFlatScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	const n = 1000
+	dense := make([]float64, n)  // NULL-free
+	sparse := make([]float64, n) // NULLs every 17th row
+	for i := range dense {
+		dense[i] = rng.NormFloat64() * 1e3
+		sparse[i] = rng.NormFloat64() * 1e3
+		if i%17 == 4 {
+			sparse[i] = math.NaN()
+		}
+	}
+	flatMean := func(vals []float64) float64 {
+		var xs []float64
+		for _, v := range vals {
+			if !math.IsNaN(v) {
+				xs = append(xs, v)
+			}
+		}
+		return stats.Mean(xs)
+	}
+	build := func(cr, lo, hi int) *Frame {
+		f, err := NewChunked("t", []*Column{
+			NewNumericColumn("dense", append([]float64(nil), dense[lo:hi]...)),
+			NewNumericColumn("sparse", append([]float64(nil), sparse[lo:hi]...)),
+		}, cr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	check := func(name string, f *Frame) {
+		t.Helper()
+		for i, vals := range [][]float64{dense, sparse} {
+			got, want := f.ColumnMean(i), flatMean(vals)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s col %d: seal mean %v, flat stats.Mean %v", name, i, got, want)
+			}
+		}
+	}
+
+	for _, cr := range []int{64, 128, 4096} {
+		check(fmt.Sprintf("chunkRows=%d", cr), build(cr, 0, n))
+
+		b := NewBuilder("t")
+		b.SetChunkRows(cr)
+		dc, sc := b.AddNumeric("dense"), b.AddNumeric("sparse")
+		for r := 0; r < n; r++ {
+			b.AppendFloat(dc, dense[r])
+			b.AppendFloat(sc, sparse[r])
+		}
+		check(fmt.Sprintf("builder chunkRows=%d", cr), b.MustBuild())
+
+		// Two appends, each sealing its result before the next grows it.
+		base := build(cr, 0, 300)
+		base.Fingerprint()
+		mid, err := base.Append(build(cr, 300, 700))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid.Fingerprint()
+		grown, err := mid.Append(build(cr, 700, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("append chunkRows=%d", cr), grown)
+	}
+}
+
+// TestAppendLeavesBaseValidWordsUnchanged pins the single validity array:
+// an appended frame adopts a capacity-capped prefix of its base's words, so
+// sealing the grown frame — which rewrites the base's trailing partial
+// chunk — must copy rather than write into the base's array, whatever spare
+// capacity that array happens to have. The appends run concurrently, as
+// diamond appends onto one live table do, so -race sees the sharing.
+func TestAppendLeavesBaseValidWordsUnchanged(t *testing.T) {
+	for _, baseRows := range []int{200, 260, 300} { // partial last chunks
+		base := buildChunked(t, baseRows, 64)
+		want := make([][]uint64, base.NumCols())
+		for i := range want {
+			want[i] = append([]uint64(nil), base.ColumnValidWords(i)...)
+		}
+		var wg sync.WaitGroup
+		for _, tailRows := range []int{4, 64, 100} {
+			tail := buildChunked(t, tailRows, 64)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				grown, err := base.Append(tail)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				twice, err := grown.Append(tail)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				grown.Fingerprint()
+				twice.Fingerprint()
+			}()
+		}
+		wg.Wait()
+		for i := range want {
+			if got := base.ColumnValidWords(i); !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("base %d col %d: base validity words changed by append: %x, want %x",
+					baseRows, i, got, want[i])
+			}
+		}
 	}
 }

@@ -25,7 +25,11 @@
 //     packages stats, effect and hypo can assume NaN-free input on their
 //     hot paths — with the robust entry points additionally hardened to
 //     report NaN-bearing input as untestable rather than panicking.
-//   - NullCount is O(1) bookkeeping recorded at build time, which lets
+//   - Each column seals into chunks (chunks.go) that record only what
+//     readers use: per chunk the fingerprint chain and the prefix non-NULL
+//     count and Σx, plus one whole-column validity bitmap. Once a column
+//     is sealed, NullCount and Frame.ColumnMean are O(1), which lets
 //     rank-once optimizations (the Spearman dependency matrix) detect the
-//     NULL-free columns whose per-column ranks are reusable across pairs.
+//     NULL-free columns whose per-column ranks are reusable across pairs
+//     without rescanning cells.
 package frame

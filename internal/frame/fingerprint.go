@@ -64,7 +64,7 @@ func (f *Frame) Fingerprint() uint64 {
 	for _, c := range f.cols {
 		h.String(c.name)
 		h.Uint64(uint64(c.kind))
-		h.Uint64(c.sealChunks(f.chunkRows).chainEnd())
+		h.Uint64(c.sealChunks(f.chunkRows).last().chain)
 		if c.kind == Categorical {
 			// The dictionary is outside the chunk chain: it can grow on
 			// append (rewriting history a prefix chain cannot absorb), and

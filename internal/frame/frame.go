@@ -45,9 +45,9 @@ type Column struct {
 	dict  []string
 	index map[string]int32 // dict value -> code
 
-	// seal caches the column's chunked metadata (per-chunk fingerprints,
-	// sketches, validity words — see chunks.go), built lazily under sealMu
-	// and shared by every frame holding this column.
+	// seal caches the column's chunked metadata (per-chunk fingerprints
+	// and prefix moments, validity words — see chunks.go), built lazily
+	// under sealMu and shared by every frame holding this column.
 	sealMu sync.Mutex
 	seal   atomic.Pointer[colSeal]
 }
@@ -201,11 +201,10 @@ func (c *Column) CodeOf(v string) int32 {
 }
 
 // NullCount returns the number of NULL rows. When the column's chunks are
-// already sealed the count is read off the merged sketch; otherwise it
-// scans.
+// already sealed the count is read off the seal; otherwise it scans.
 func (c *Column) NullCount() int {
-	if s := c.seal.Load(); s != nil && s.finalized && s.covered() == c.Len() {
-		return s.merged.Nulls
+	if s := c.seal.Load(); s != nil && s.covered() == c.Len() {
+		return c.Len() - s.last().count
 	}
 	n := 0
 	for i := 0; i < c.Len(); i++ {

@@ -172,17 +172,13 @@ func BuildSchedule(spec *Spec, seed uint64) (*Schedule, error) {
 // threshold columns.
 func materializeTable(t TableSpec) (ScheduleTable, error) {
 	var f *frame.Frame
-	switch t.Dataset {
-	case DatasetUSCrime:
-		f = synth.USCrime(t.Seed)
-	case DatasetBoxOffice:
-		f = synth.BoxOffice(t.Seed)
-	case DatasetInnovation:
-		f = synth.Innovation(t.Seed)
-	case DatasetMicro:
+	if t.Dataset == DatasetMicro {
 		f = synth.Micro(t.Name, t.Seed, t.Rows, t.Cols)
-	default:
-		return ScheduleTable{}, fmt.Errorf("load: unknown dataset %q", t.Dataset)
+	} else {
+		var err error
+		if f, err = synth.ByName(t.Dataset, t.Seed); err != nil {
+			return ScheduleTable{}, fmt.Errorf("load: %w", err)
+		}
 	}
 	if f.Name() != t.Name {
 		renamed, err := frame.New(t.Name, f.Columns())

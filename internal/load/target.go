@@ -136,7 +136,7 @@ func (t *RouterTarget) Do(req *Request) (*Outcome, error) {
 		return nil, err
 	}
 	return &Outcome{
-		Bytes:          normalizeReport(rep),
+		Bytes:          core.EncodeContent(rep),
 		ReportCacheHit: rep.ReportCacheHit,
 		ApproxKey:      approxKey(rep.Approximate),
 	}, nil
@@ -163,18 +163,6 @@ func (t *RouterTarget) Close() error {
 		}
 	}
 	return first
-}
-
-// normalizeReport strips the fields that legitimately differ between
-// servings of the same request — timings and cache provenance — and
-// encodes the rest canonically. Byte equality of the result is the
-// cross-shard determinism contract.
-func normalizeReport(rep *core.Report) []byte {
-	norm := *rep
-	norm.Timings = core.Timings{}
-	norm.CacheHit = false
-	norm.ReportCacheHit = false
-	return core.EncodeReport(&norm)
 }
 
 // HTTPTarget drives a real ziggyd front over its public JSON API — the
@@ -216,7 +204,7 @@ type characterizeBody struct {
 
 // volatileResponseFields differ between servings of one request and are
 // stripped before the byte-identity comparison, matching what
-// normalizeReport removes from the binary encoding.
+// core.EncodeContent removes from the binary encoding.
 var volatileResponseFields = []string{
 	"prepMillis", "searchMillis", "postMillis", "cacheHit", "reportCacheHit",
 }

@@ -73,17 +73,6 @@ func newWorker(t testing.TB, shards int) (*Worker, *httptest.Server) {
 	return w, ts
 }
 
-// canonical encodes a report with its volatile fields (timings, cache
-// flags) neutralized, so reports can be byte-compared across topologies and
-// cache states.
-func canonical(rep *core.Report) []byte {
-	c := *rep
-	c.Timings = core.Timings{}
-	c.CacheHit = false
-	c.ReportCacheHit = false
-	return core.EncodeReport(&c)
-}
-
 // TestRemoteDeterminism is the acceptance pin of the distribution layer:
 // for shard counts 1, 2 and 4, the same queries answered by an in-process
 // router, by a front routing to a remote worker over HTTP, and by a mixed
@@ -111,7 +100,7 @@ func TestRemoteDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reference[i] = canonical(rep)
+		reference[i] = core.EncodeContent(rep)
 	}
 
 	for _, shards := range []int{1, 2, 4} {
@@ -149,7 +138,7 @@ func TestRemoteDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("shards=%d %s table %d: %v", shards, name, i, err)
 				}
-				if !bytes.Equal(canonical(rep), reference[i]) {
+				if !bytes.Equal(core.EncodeContent(rep), reference[i]) {
 					t.Errorf("shards=%d %s: table %d report diverged from the in-process reference", shards, name, i)
 				}
 				// The repeat must be served from a report cache wherever it
@@ -161,7 +150,7 @@ func TestRemoteDeterminism(t *testing.T) {
 				if !again.ReportCacheHit {
 					t.Errorf("shards=%d %s: table %d repeat missed every report cache", shards, name, i)
 				}
-				if !bytes.Equal(canonical(again), reference[i]) {
+				if !bytes.Equal(core.EncodeContent(again), reference[i]) {
 					t.Errorf("shards=%d %s: cached table %d report diverged", shards, name, i)
 				}
 			}
@@ -202,7 +191,7 @@ func TestRemoteApproximateDeterminism(t *testing.T) {
 		if got := rep.Approximate; got.CapRows != opts.ApproxRows || got.Seed != opts.ApproxSeed {
 			t.Fatalf("config %d: provenance %+v does not echo the request", ci, got)
 		}
-		reference[ci] = canonical(rep)
+		reference[ci] = core.EncodeContent(rep)
 	}
 	for ci := range configs {
 		for cj := ci + 1; cj < len(configs); cj++ {
@@ -247,7 +236,7 @@ func TestRemoteApproximateDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("shards=%d %s config %d: %v", shards, name, ci, err)
 				}
-				if !bytes.Equal(canonical(rep), reference[ci]) {
+				if !bytes.Equal(core.EncodeContent(rep), reference[ci]) {
 					t.Errorf("shards=%d %s: config %d approximate report diverged from the in-process reference",
 						shards, name, ci)
 				}
@@ -260,7 +249,7 @@ func TestRemoteApproximateDeterminism(t *testing.T) {
 				if !again.ReportCacheHit {
 					t.Errorf("shards=%d %s: config %d repeat missed every report cache", shards, name, ci)
 				}
-				if !bytes.Equal(canonical(again), reference[ci]) {
+				if !bytes.Equal(core.EncodeContent(again), reference[ci]) {
 					t.Errorf("shards=%d %s: cached config %d report diverged", shards, name, ci)
 				}
 			}
@@ -422,7 +411,7 @@ func TestWorkerDownFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("failover repeat: %v", err)
 	}
-	if !bytes.Equal(canonical(rep2), canonical(ref)) {
+	if !bytes.Equal(core.EncodeContent(rep2), core.EncodeContent(ref)) {
 		t.Error("failover changed the report bytes")
 	}
 
@@ -485,7 +474,7 @@ func TestWorkerRestartReships(t *testing.T) {
 	if err != nil {
 		t.Fatalf("characterize after worker restart: %v", err)
 	}
-	if !bytes.Equal(canonical(rep), canonical(ref)) {
+	if !bytes.Equal(core.EncodeContent(rep), core.EncodeContent(ref)) {
 		t.Error("report after re-ship diverged")
 	}
 	if got := client.Snapshot().TablesShipped; got != 2 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -74,6 +75,44 @@ func appendRows(t testing.TB, f *frame.Frame, seed uint64, n int) *frame.Frame {
 	return grown
 }
 
+// TestAssembleLeavesBaseValidWordsUnchanged pins the single validity array
+// across the transport: a reassembled successor adopts a capacity-capped
+// prefix of the resident base's words, so sealing its streamed chunks —
+// including the rows of the base's trailing partial chunk — must copy
+// rather than write into the base's array.
+func TestAssembleLeavesBaseValidWordsUnchanged(t *testing.T) {
+	for _, rows := range []int{200, 300} { // partial last chunks
+		base, _ := chunkedTable(t, 5, rows)
+		want := make([][]uint64, base.NumCols())
+		for i := range want {
+			want[i] = append([]uint64(nil), base.ColumnValidWords(i)...)
+		}
+		src, _ := chunkedTable(t, 5, rows)
+		grown := appendRows(t, src, 5, 64)
+		m := BuildManifest(grown)
+		prefix := matchPrefix(m, base)
+		if prefix != rows/64 {
+			t.Fatalf("rows=%d: resident prefix %d chunks, want %d", rows, prefix, rows/64)
+		}
+		payloads, err := ExtractChunks(grown, []ChunkRange{{Start: prefix, End: m.NumChunks()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nf, err := AssembleFrame(m, base, prefix, payloads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got, exp := nf.ColumnValidWords(i), grown.ColumnValidWords(i); !slices.Equal(got, exp) {
+				t.Errorf("rows=%d col %d: reassembled validity words %x, want %x", rows, i, got, exp)
+			}
+			if got := base.ColumnValidWords(i); !slices.Equal(got, want[i]) {
+				t.Errorf("rows=%d col %d: base validity words changed by assembly: %x, want %x", rows, i, got, want[i])
+			}
+		}
+	}
+}
+
 // TestAppendShipsOnlyNewChunks is the acceptance pin of the delta transport:
 // appending ≤10% of rows to an already-shipped table re-registers by
 // shipping only the new chunks — wire bytes proportional to the delta, not
@@ -134,7 +173,7 @@ func TestAppendShipsOnlyNewChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(canonical(remoteRep), canonical(localRep)) {
+	if !bytes.Equal(core.EncodeContent(remoteRep), core.EncodeContent(localRep)) {
 		t.Error("report from the chunk-assembled remote table diverged from the local engine")
 	}
 }
@@ -163,7 +202,7 @@ func TestAppendShipDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference := canonical(refRep)
+	reference := core.EncodeContent(refRep)
 
 	for _, shards := range []int{1, 2, 4} {
 		topologies := map[string]*shard.Router{}
@@ -204,7 +243,7 @@ func TestAppendShipDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shards=%d %s: %v", shards, name, err)
 			}
-			if !bytes.Equal(canonical(rep), reference) {
+			if !bytes.Equal(core.EncodeContent(rep), reference) {
 				t.Errorf("shards=%d %s: delta-shipped report diverged from the in-process reference", shards, name)
 			}
 			router.Close()
@@ -275,7 +314,7 @@ func TestPartialStoreHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(canonical(rep), canonical(localRep)) {
+	if !bytes.Equal(core.EncodeContent(rep), core.EncodeContent(localRep)) {
 		t.Error("healed report diverged from the local engine")
 	}
 }

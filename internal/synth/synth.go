@@ -16,11 +16,44 @@ package synth
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/frame"
 	"repro/internal/randx"
 	"repro/internal/stats"
 )
+
+// datasets is the registry of built-in demonstration datasets, in the
+// order Names lists them.
+var datasets = []struct {
+	name string
+	gen  func(seed uint64) *frame.Frame
+}{
+	{"uscrime", USCrime},
+	{"boxoffice", BoxOffice},
+	{"innovation", Innovation},
+}
+
+// Names returns the names of the built-in demonstration datasets ByName
+// accepts.
+func Names() []string {
+	names := make([]string, len(datasets))
+	for i, d := range datasets {
+		names[i] = d.name
+	}
+	return names
+}
+
+// ByName generates the named demonstration dataset (one of Names) from
+// seed; the frame's table name is the dataset name.
+func ByName(name string, seed uint64) (*frame.Frame, error) {
+	for _, d := range datasets {
+		if d.name == name {
+			return d.gen(seed), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown dataset %q (want one of %s)", name, strings.Join(Names(), ", "))
+}
 
 // factor is a latent variable realized for every row.
 type factor []float64

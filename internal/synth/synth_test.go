@@ -2,11 +2,43 @@ package synth
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/frame"
 	"repro/internal/stats"
 )
+
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rows int // 0: unknown name, ByName must fail
+	}{
+		{"uscrime", USCrimeRows},
+		{"boxoffice", BoxOfficeRows},
+		{"innovation", InnovationRows},
+		{"", 0},
+		{"USCrime", 0},
+		{"micro", 0},
+	} {
+		f, err := ByName(tc.name, 1)
+		if tc.rows == 0 {
+			if err == nil || !strings.Contains(err.Error(), "unknown dataset") {
+				t.Errorf("ByName(%q): err %v, want unknown dataset", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", tc.name, err)
+		}
+		if f.Name() != tc.name || f.NumRows() != tc.rows {
+			t.Errorf("ByName(%q) = %q with %d rows, want %d", tc.name, f.Name(), f.NumRows(), tc.rows)
+		}
+	}
+	if got, want := strings.Join(Names(), ","), "uscrime,boxoffice,innovation"; got != want {
+		t.Errorf("Names() = %s, want %s", got, want)
+	}
+}
 
 func TestUSCrimeShape(t *testing.T) {
 	f := USCrime(1)

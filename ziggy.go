@@ -213,7 +213,7 @@ func LoadCSVOpts(path string, opts CSVOptions) (*Frame, error) {
 // OpenCSV streams a CSV file into a chunked Frame: only the type-inference
 // window (opts.MaxInferRows rows) is buffered, the rest of the file is
 // parsed record by record while chunks seal as they fill, and the loaded
-// frame arrives with its chunk fingerprints and stats sketches already
+// frame arrives with its chunk fingerprints, NULL counts, and means already
 // computed — ready for incremental Session.Append growth.
 func OpenCSV(path string, opts CSVOptions) (*Frame, error) {
 	return csvio.ReadFileStream(path, opts.internal())
