@@ -70,6 +70,10 @@ type Benchmark struct {
 	// "0 allocs/op" (a gated property) stays distinguishable from "not
 	// measured" in the JSON, and old baselines without the field still load.
 	AllocsPerOp *float64 `json:"allocsPerOp,omitempty"`
+	// Machine names the machine the run was recorded on — the cpu,
+	// goos/goarch header `go test` printed and the GOMAXPROCS of the
+	// run — when the output carried that header.
+	Machine string `json:"machine,omitempty"`
 }
 
 // File is the JSON document benchdiff reads and writes.
@@ -82,6 +86,23 @@ type File struct {
 // (B/op, rankops/op, …) are ignored.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\s+(\d+)\s+([0-9.]+) ns/op`)
 
+// headerLine matches the goos, goarch and cpu lines `go test -bench`
+// prints before each package's results.
+var headerLine = regexp.MustCompile(`^(goos|goarch|cpu): (.+)$`)
+
+// machine describes the machine of one result line from the header lines
+// seen so far and the line's GOMAXPROCS suffix (none printed means 1).
+func machine(header map[string]string, procsSuffix string) string {
+	if header["cpu"] == "" {
+		return ""
+	}
+	procs := strings.TrimPrefix(procsSuffix, "-")
+	if procs == "" {
+		procs = "1"
+	}
+	return fmt.Sprintf("%s, %s/%s, GOMAXPROCS=%s", header["cpu"], header["goos"], header["goarch"], procs)
+}
+
 // allocsMetric matches the allocs/op column -benchmem appends (always an
 // integer) anywhere after the ns/op column.
 var allocsMetric = regexp.MustCompile(`\s([0-9]+) allocs/op`)
@@ -93,7 +114,12 @@ var allocsMetric = regexp.MustCompile(`\s([0-9]+) allocs/op`)
 func parseBench(raw string) (File, error) {
 	best := make(map[string]*Benchmark)
 	printed := make(map[string]string) // stripped name → raw printed name
+	header := make(map[string]string)
 	for _, line := range strings.Split(raw, "\n") {
+		if h := headerLine.FindStringSubmatch(strings.TrimSpace(line)); h != nil {
+			header[h[1]] = h[2]
+			continue
+		}
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
@@ -115,7 +141,7 @@ func parseBench(raw string) (File, error) {
 		}
 		b, ok := best[m[1]]
 		if !ok {
-			best[m[1]] = &Benchmark{Name: m[1], NsPerOp: ns, Samples: 1, AllocsPerOp: allocs}
+			best[m[1]] = &Benchmark{Name: m[1], NsPerOp: ns, Samples: 1, AllocsPerOp: allocs, Machine: machine(header, m[2])}
 			continue
 		}
 		b.Samples++

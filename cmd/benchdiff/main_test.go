@@ -54,6 +54,15 @@ func TestParseBench(t *testing.T) {
 			t.Errorf("%s: samples = %d, want %d", b.Name, b.Samples, w.samples)
 		}
 	}
+	for _, b := range f.Benchmarks {
+		want := "Intel(R) Xeon(R) Processor @ 2.70GHz, linux/amd64, GOMAXPROCS=4"
+		if b.Name == "BenchmarkShardedThroughput/shards=2" {
+			want = "Intel(R) Xeon(R) Processor @ 2.70GHz, linux/amd64, GOMAXPROCS=1"
+		}
+		if b.Machine != want {
+			t.Errorf("%s: machine = %q, want %q", b.Name, b.Machine, want)
+		}
+	}
 	// Output is sorted by name for stable diffs.
 	for i := 1; i < len(f.Benchmarks); i++ {
 		if f.Benchmarks[i-1].Name > f.Benchmarks[i].Name {

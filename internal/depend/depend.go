@@ -3,10 +3,8 @@ package depend
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/frame"
-	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -40,17 +38,23 @@ func (m Measure) String() string {
 // which must have the same length. NULL rows (in either column) are dropped
 // pairwise. Degenerate cases (constant columns, too few rows) return 0: an
 // uninformative column cannot anchor a tight view.
+//
+// Pairwise is symmetric in value but not always in its last bit: Cramér's
+// V sums χ² over the r×c contingency table in a's-level-major order, so
+// swapping two categorical arguments can move the last bit. NewMatrix
+// fixes the order: cell (i, j) is Pairwise(column min(i,j), column
+// max(i,j)).
 func Pairwise(a, b *frame.Column, m Measure) float64 {
 	switch {
 	case a.Kind() == frame.Numeric && b.Kind() == frame.Numeric:
 		xs, ys := alignedNumeric(a, b)
 		return numericDependency(xs, ys, m)
 	case a.Kind() == frame.Categorical && b.Kind() == frame.Categorical:
-		return cramersV(a, b)
+		return cramersV(a, b, nil)
 	case a.Kind() == frame.Numeric:
-		return correlationRatio(b, a)
+		return correlationRatio(b, a, nil)
 	default:
-		return correlationRatio(a, b)
+		return correlationRatio(a, b, nil)
 	}
 }
 
@@ -92,28 +96,39 @@ func alignedNumeric(a, b *frame.Column) (xs, ys []float64) {
 	return xs, ys
 }
 
+// zeroed returns buf[:n] cleared, or a fresh slice when buf is too small
+// (a nil buf always allocates).
+func zeroed(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // cramersV computes Cramér's V between two categorical columns with
-// bias-free plug-in estimation: V = sqrt(χ²/n / min(r-1, c-1)).
-func cramersV(a, b *frame.Column) float64 {
+// bias-free plug-in estimation: V = sqrt(χ²/n / min(r-1, c-1)). buf, when
+// large enough, holds the r×c table and its margins.
+func cramersV(a, b *frame.Column, buf []float64) float64 {
 	r := a.Cardinality()
 	c := b.Cardinality()
 	if r < 2 || c < 2 {
 		return 0
 	}
-	table := make([]float64, r*c)
-	rowTot := make([]float64, r)
-	colTot := make([]float64, c)
+	buf = zeroed(buf, r*c+r+c)
+	table, rowTot, colTot := buf[:r*c], buf[r*c:r*c+r], buf[r*c+r:]
 	n := 0.0
-	length := a.Len()
-	if b.Len() < length {
-		length = b.Len()
+	ac, bc := a.Codes(), b.Codes()
+	if len(bc) < len(ac) {
+		ac = ac[:len(bc)]
 	}
-	for i := 0; i < length; i++ {
-		if a.IsNull(i) || b.IsNull(i) {
+	for i, ai := range ac {
+		bi := bc[i]
+		if ai < 0 || bi < 0 {
 			continue
 		}
-		ai, bi := int(a.Code(i)), int(b.Code(i))
-		table[ai*c+bi]++
+		table[int(ai)*c+int(bi)]++
 		rowTot[ai]++
 		colTot[bi]++
 		n++
@@ -135,7 +150,7 @@ func cramersV(a, b *frame.Column) float64 {
 			chi2 += d * d / expected
 		}
 	}
-	k := float64(minInt(r, c) - 1)
+	k := float64(min(r, c) - 1)
 	if k <= 0 {
 		return 0
 	}
@@ -148,28 +163,34 @@ func cramersV(a, b *frame.Column) float64 {
 
 // correlationRatio computes η: the square root of the between-group share of
 // the numeric column's variance when grouped by the categorical column.
-func correlationRatio(cat, num *frame.Column) float64 {
+// buf, when large enough, holds the per-group sums and counts.
+func correlationRatio(cat, num *frame.Column, buf []float64) float64 {
 	card := cat.Cardinality()
 	if card < 2 {
 		return 0
 	}
-	groupSum := make([]float64, card)
-	groupN := make([]float64, card)
+	buf = zeroed(buf, 2*card)
+	groupSum, groupN := buf[:card], buf[card:]
 	var total stats.Moments
-	length := cat.Len()
-	if num.Len() < length {
-		length = num.Len()
+	codes, xs := cat.Codes(), num.Floats()
+	if len(xs) < len(codes) {
+		codes = codes[:len(xs)]
 	}
-	for i := 0; i < length; i++ {
-		if cat.IsNull(i) || num.IsNull(i) {
+	for i, g := range codes {
+		v := xs[i]
+		if g < 0 || math.IsNaN(v) {
 			continue
 		}
-		v := num.Float(i)
-		g := int(cat.Code(i))
 		groupSum[g] += v
 		groupN[g]++
 		total.Add(v)
 	}
+	return etaOf(groupSum, groupN, &total)
+}
+
+// etaOf finishes the correlation ratio from the per-group sums and counts
+// of the numeric values and their Welford moments.
+func etaOf(groupSum, groupN []float64, total *stats.Moments) float64 {
 	if total.N() < 3 {
 		return 0
 	}
@@ -179,25 +200,18 @@ func correlationRatio(cat, num *frame.Column) float64 {
 		return 0
 	}
 	ssBetween := 0.0
-	for g := 0; g < card; g++ {
-		if groupN[g] == 0 {
+	for g, n := range groupN {
+		if n == 0 {
 			continue
 		}
-		d := groupSum[g]/groupN[g] - grand
-		ssBetween += groupN[g] * d * d
+		d := groupSum[g]/n - grand
+		ssBetween += n * d * d
 	}
 	eta := math.Sqrt(ssBetween / ssTotal)
 	if eta > 1 {
 		eta = 1
 	}
 	return eta
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Matrix is a symmetric column-dependency matrix over a frame's columns.
@@ -207,255 +221,10 @@ type Matrix struct {
 	n     int
 }
 
-// NewMatrix computes pairwise dependencies for all column pairs of f under
-// measure m. The diagonal is 1.
-func NewMatrix(f *frame.Frame, m Measure) *Matrix {
-	return NewMatrixParallel(f, m, 1)
-}
-
-// NewMatrixParallel is NewMatrix with the upper triangle sharded across
-// `workers` goroutines (the dominant preparation-stage cost: O(cols²)
-// pairwise statistics over all rows). Each unordered pair is one task
-// writing its two mirror cells, so the matrix is bit-for-bit identical for
-// every worker count. workers < 1 means all CPUs; an effective count of 1
-// computes inline with no goroutines and no pair-list allocation.
-//
-// A per-column precomputation phase runs first (one task per column, not
-// per pair): validity bitmaps for NULL-bearing numeric columns, centering
-// moments (mean and Σdx²) for NULL-free ones, and — under the Spearman
-// measure — the rank-once vectors with their own moments. The O(cols²)
-// pair loop then reduces to a single fused Σdxdy pass per NULL-free
-// numeric pair with zero per-pair allocations; pairs with NULLs gather
-// their complete cases into per-worker scratch by walking the AND of the
-// validity bitmap words. Both shapes reproduce Pairwise bit-for-bit:
-// Pearson accumulates sxy/sxx/syy as independent sums in row order, so
-// hoisting mean and sxx out of the pair loop changes no float operation,
-// and the word-walk gathers exactly the rows the per-row scan gathered, in
-// the same order.
-func NewMatrixParallel(f *frame.Frame, m Measure, workers int) *Matrix {
-	workers = par.Workers(workers)
-	n := f.NumCols()
-	mat := &Matrix{names: f.ColumnNames(), vals: make([]float64, n*n), n: n}
-	for i := 0; i < n; i++ {
-		mat.vals[i*n+i] = 1
-	}
-	info := precomputeColumns(f, m, workers)
-	scratches := make([]pairScratch, workers)
-	cell := func(w, i, j int) float64 {
-		return pairCell(f, m, info, &scratches[w], i, j)
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				v := cell(0, i, j)
-				mat.vals[i*n+j] = v
-				mat.vals[j*n+i] = v
-			}
-		}
-		return mat
-	}
-	type pair struct{ i, j int }
-	pairs := make([]pair, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pairs = append(pairs, pair{i, j})
-		}
-	}
-	par.For(workers, len(pairs), func(w, k int) {
-		p := pairs[k]
-		v := cell(w, p.i, p.j)
-		mat.vals[p.i*n+p.j] = v
-		mat.vals[p.j*n+p.i] = v
-	})
-	return mat
-}
-
-// colStats is the per-column precomputation shared by every pair task.
-type colStats struct {
-	numeric bool
-	floats  []float64
-	// valid holds the non-NULL bitmap words of a NULL-bearing numeric
-	// column (bit i&63 of word i>>6 set when row i is non-NULL); nil when
-	// the column has no NULLs and the fused moment path applies.
-	valid []uint64
-	// mean and sxx are Pearson's centering moments over the full column,
-	// valid only for NULL-free numeric columns with ≥ 2 rows (hasMoments).
-	mean, sxx  float64
-	hasMoments bool
-	// ranks is the rank-once vector under AbsSpearman (NULL-free numeric
-	// columns with ≥ 3 rows only — exactly the columns whose pairwise
-	// complete cases equal the full column, so correlating precomputed
-	// ranks is bit-identical to ranking the aligned pair; NULL-bearing
-	// columns keep the per-pair fallback because their complete-case ranks
-	// differ per partner). rankMean/rankSxx are its centering moments.
-	ranks             []float64
-	rankMean, rankSxx float64
-}
-
-// centeringMoments returns Mean(xs) and the sum of squared deviations
-// accumulated exactly as Pearson's fused loop accumulates its sxx term, so
-// a pair loop reusing them reproduces Pearson bit-for-bit.
-func centeringMoments(xs []float64) (mean, sxx float64) {
-	mean = stats.Mean(xs)
-	for _, x := range xs {
-		d := x - mean
-		sxx += d * d
-	}
-	return mean, sxx
-}
-
-// precomputeColumns builds the per-column state, one task per column. The
-// per-column facts that chunk seals already hold — NULL counts, validity
-// bitmaps, and the mean — are read off the frame's column seals
-// (frame.ColumnMean, Column.NullCount, frame.ColumnValidWords) instead of
-// rescanning cells: the seal's Σx is a prefix accumulator chained across
-// chunks, bit-identical to the flat sequential scan this function used to
-// do, so the matrix is unchanged to the last bit while an appended frame
-// only pays for its new chunks. The centered second moment stays a full
-// scan: it needs the final mean, which an append shifts.
-func precomputeColumns(f *frame.Frame, m Measure, workers int) []colStats {
-	n := f.NumCols()
-	info := make([]colStats, n)
-	rankScratch := make([]stats.RankScratch, workers)
-	idxScratch := make([][]int, workers)
-	par.For(workers, n, func(w, i int) {
-		c := f.Col(i)
-		if c.Kind() != frame.Numeric {
-			return
-		}
-		cs := &info[i]
-		cs.numeric = true
-		cs.floats = c.Floats()
-		mean := f.ColumnMean(i) // seals the column, so NullCount is O(1)
-		if c.NullCount() > 0 {
-			cs.valid = f.ColumnValidWords(i)
-			return
-		}
-		if len(cs.floats) >= 2 {
-			cs.mean = mean
-			for _, x := range cs.floats {
-				d := x - cs.mean
-				cs.sxx += d * d
-			}
-			cs.hasMoments = true
-		}
-		if m == AbsSpearman && len(cs.floats) >= 3 {
-			nRows := len(cs.floats)
-			if cap(idxScratch[w]) < nRows {
-				idxScratch[w] = make([]int, nRows)
-			}
-			cs.ranks = stats.RanksIdxWith(&rankScratch[w], make([]float64, nRows), idxScratch[w][:nRows], cs.floats)
-			cs.rankMean, cs.rankSxx = centeringMoments(cs.ranks)
-		}
-	})
-	return info
-}
-
-// pairScratch holds one worker's complete-case gather buffers.
-type pairScratch struct {
-	xs, ys []float64
-}
-
-// pairCell computes one dependency cell using whichever precomputed shape
-// applies: fused moments, rank-once vectors, bitmap-gathered complete
-// cases, or the general Pairwise fallback for categorical/mixed pairs.
-func pairCell(f *frame.Frame, m Measure, info []colStats, s *pairScratch, i, j int) float64 {
-	a, b := &info[i], &info[j]
-	if a.ranks != nil && b.ranks != nil {
-		return absClamp(pearsonFused(a.ranks, b.ranks, a.rankMean, b.rankMean, a.rankSxx, b.rankSxx))
-	}
-	if a.numeric && b.numeric {
-		if a.valid == nil && b.valid == nil {
-			if m == AbsPearson {
-				if len(a.floats) < 3 {
-					return 0
-				}
-				return absClamp(pearsonFused(a.floats, b.floats, a.mean, b.mean, a.sxx, b.sxx))
-			}
-			return numericDependency(a.floats, b.floats, m)
-		}
-		xs, ys := s.gatherAligned(a, b)
-		return numericDependency(xs, ys, m)
-	}
-	return Pairwise(f.Col(i), f.Col(j), m)
-}
-
-// gatherAligned collects the pairwise complete cases of two numeric
-// columns into the worker's scratch, walking the AND of the validity words
-// one word at a time (bits.TrailingZeros64 over the joint mask) instead of
-// testing every row. Rows come out in ascending order — the same order the
-// per-row scan produced — so every downstream statistic is bit-identical.
-func (s *pairScratch) gatherAligned(a, b *colStats) (xs, ys []float64) {
-	n := len(a.floats)
-	if len(b.floats) < n {
-		n = len(b.floats)
-	}
-	if cap(s.xs) < n {
-		s.xs = make([]float64, 0, n)
-		s.ys = make([]float64, 0, n)
-	}
-	xs, ys = s.xs[:0], s.ys[:0]
-	nw := (n + 63) / 64
-	for k := 0; k < nw; k++ {
-		w := jointWord(a.valid, k) & jointWord(b.valid, k)
-		if rem := n - k<<6; rem < 64 {
-			w &= (1 << uint(rem)) - 1
-		}
-		base := k << 6
-		for ; w != 0; w &= w - 1 {
-			i := base + bits.TrailingZeros64(w)
-			xs = append(xs, a.floats[i])
-			ys = append(ys, b.floats[i])
-		}
-	}
-	s.xs, s.ys = xs, ys
-	return xs, ys
-}
-
-// jointWord reads word k of a validity bitmap, treating a nil bitmap (a
-// NULL-free column) as all-valid.
-func jointWord(valid []uint64, k int) uint64 {
-	if valid == nil {
-		return ^uint64(0)
-	}
-	return valid[k]
-}
-
-// pearsonFused is Pearson with the per-series centering moments hoisted
-// out: only the cross term Σdxdy is accumulated here. Because Pearson's
-// loop carries sxy, sxx and syy as independent accumulators, the split
-// changes no float operation and the result is bit-identical.
-func pearsonFused(xs, ys []float64, mx, my, sxx, syy float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN()
-	}
-	var sxy float64
-	for i := range xs {
-		sxy += (xs[i] - mx) * (ys[i] - my)
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	r := sxy / math.Sqrt(sxx*syy)
-	if r > 1 {
-		r = 1
-	} else if r < -1 {
-		r = -1
-	}
-	return r
-}
-
-// absClamp maps a correlation to a dependency score the way
-// numericDependency does: |v|, NaN → 0, clamped into [0, 1].
-func absClamp(v float64) float64 {
-	v = math.Abs(v)
-	if math.IsNaN(v) {
-		return 0
-	}
-	if v > 1 {
-		v = 1
-	}
-	return v
+// setPair writes v to cells (i, j) and (j, i).
+func (m *Matrix) setPair(i, j int, v float64) {
+	m.vals[i*m.n+j] = v
+	m.vals[j*m.n+i] = v
 }
 
 // MatrixFromValues wraps a precomputed symmetric matrix; used by tests and

@@ -152,6 +152,36 @@ func (m *Moments) Add(x float64) {
 	m.m2 += delta * (x - m.mean)
 }
 
+// Moments4 returns the accumulators of four equal-length series, each
+// built by one Add per value in order, so each is bit-identical to the
+// sequential loop. The four recurrences are independent, so running them
+// interleaved overlaps their division latency.
+func Moments4(xs *[4][]float64) [4]Moments {
+	x0 := xs[0]
+	n := len(x0)
+	x1, x2, x3 := xs[1][:n], xs[2][:n], xs[3][:n]
+	var a0, a1, a2, a3, q0, q1, q2, q3 float64
+	for i, v := range x0 {
+		k := float64(i + 1)
+		d := v - a0
+		a0 += d / k
+		q0 += d * (v - a0)
+		v = x1[i]
+		d = v - a1
+		a1 += d / k
+		q1 += d * (v - a1)
+		v = x2[i]
+		d = v - a2
+		a2 += d / k
+		q2 += d * (v - a2)
+		v = x3[i]
+		d = v - a3
+		a3 += d / k
+		q3 += d * (v - a3)
+	}
+	return [4]Moments{{n, a0, q0}, {n, a1, q1}, {n, a2, q2}, {n, a3, q3}}
+}
+
 // N returns the count of values seen.
 func (m *Moments) N() int { return m.n }
 

@@ -104,6 +104,34 @@ func TestMomentsMatchesBatch(t *testing.T) {
 	}
 }
 
+func TestMoments4MatchesAdd(t *testing.T) {
+	r := randx.New(9)
+	for _, n := range []int{0, 1, 2, 3, 257} {
+		var xs [4][]float64
+		for k := range xs {
+			xs[k] = make([]float64, n)
+			for i := range xs[k] {
+				xs[k][i] = r.Normal(float64(k*100), float64(k+1))
+			}
+		}
+		if n > 2 {
+			xs[2][1] = math.Inf(1)
+			xs[3][n-1] = 1e300
+		}
+		got := Moments4(&xs)
+		for k := range xs {
+			var want Moments
+			for _, x := range xs[k] {
+				want.Add(x)
+			}
+			if got[k].n != want.n || math.Float64bits(got[k].mean) != math.Float64bits(want.mean) ||
+				math.Float64bits(got[k].m2) != math.Float64bits(want.m2) {
+				t.Fatalf("n=%d series %d: Moments4 = %+v, repeated Add = %+v", n, k, got[k], want)
+			}
+		}
+	}
+}
+
 func TestMomentsEmpty(t *testing.T) {
 	var m Moments
 	if !math.IsNaN(m.Mean()) || !math.IsNaN(m.Variance()) {
