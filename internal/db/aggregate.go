@@ -3,27 +3,34 @@ package db
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/frame"
 )
 
-// executeAggregation runs the aggregation path: group the selected rows by
-// the GROUP BY columns (one global group when absent), evaluate each
-// aggregate, then apply ORDER BY and LIMIT over the aggregated output.
-func executeAggregation(stmt *SelectStmt, base *frame.Frame, mask *frame.Bitmap) (*frame.Frame, error) {
-	// Resolve grouping columns.
-	groupCols := make([]*frame.Column, len(stmt.GroupBy))
+// aggPlan is a validated aggregation query: its grouping and aggregate
+// input columns resolved against the base table.
+type aggPlan struct {
+	stmt      *SelectStmt
+	groupCols []*frame.Column
+	aggCols   []*frame.Column // nil for COUNT(*)
+}
+
+// planAggregation resolves an aggregation query's columns and checks its
+// output schema and ORDER BY keys, so running it cannot fail.
+func planAggregation(stmt *SelectStmt, base *frame.Frame) (*aggPlan, error) {
+	p := &aggPlan{
+		stmt:      stmt,
+		groupCols: make([]*frame.Column, len(stmt.GroupBy)),
+		aggCols:   make([]*frame.Column, len(stmt.Aggs)),
+	}
 	for i, name := range stmt.GroupBy {
 		c, ok := base.Lookup(name)
 		if !ok {
 			return nil, evalErrorf("unknown column %q in GROUP BY", name)
 		}
-		groupCols[i] = c
+		p.groupCols[i] = c
 	}
-	// Resolve aggregate input columns.
-	aggCols := make([]*frame.Column, len(stmt.Aggs))
 	for i, a := range stmt.Aggs {
 		if a.Column == "" {
 			if a.Func != "COUNT" {
@@ -38,9 +45,53 @@ func executeAggregation(stmt *SelectStmt, base *frame.Frame, mask *frame.Bitmap)
 		if c.Kind() != frame.Numeric && a.Func != "COUNT" && a.Func != "MIN" && a.Func != "MAX" {
 			return nil, evalErrorf("%s() needs a numeric column, %q is %s", a.Func, a.Column, c.Kind())
 		}
-		aggCols[i] = c
+		p.aggCols[i] = c
 	}
+	// The empty output frame checks the output column names; ORDER BY keys
+	// may name group columns or aggregate output names.
+	empty, err := p.output(stmt.Table).Build()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := resolveOrder(empty, stmt.OrderBy); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
 
+// output declares the output frame's columns: grouping columns first, then
+// aggregate i as column len(groupCols)+i.
+func (p *aggPlan) output(name string) *frame.Builder {
+	b := frame.NewBuilder(name)
+	for _, c := range p.groupCols {
+		if c.Kind() == frame.Numeric {
+			b.AddNumeric(c.Name())
+		} else {
+			b.AddCategorical(c.Name())
+		}
+	}
+	for i, a := range p.stmt.Aggs {
+		if p.yieldsString(i) {
+			b.AddCategorical(a.OutputName())
+		} else {
+			b.AddNumeric(a.OutputName())
+		}
+	}
+	return b
+}
+
+// yieldsString reports whether aggregate i outputs strings: MIN and MAX over
+// categorical columns do; everything else is numeric.
+func (p *aggPlan) yieldsString(i int) bool {
+	fn, c := p.stmt.Aggs[i].Func, p.aggCols[i]
+	return (fn == "MIN" || fn == "MAX") && c != nil && c.Kind() == frame.Categorical
+}
+
+// rows runs the aggregation: group the selected rows by the GROUP BY
+// columns (one global group when absent), evaluate each aggregate, then
+// apply ORDER BY and LIMIT over the aggregated output.
+func (p *aggPlan) rows(mask *frame.Bitmap) (*frame.Frame, error) {
+	stmt := p.stmt
 	type groupState struct {
 		firstRow int
 		accs     []*aggAccumulator
@@ -49,7 +100,7 @@ func executeAggregation(stmt *SelectStmt, base *frame.Frame, mask *frame.Bitmap)
 	var order []string // group keys in first-seen order
 
 	mask.ForEach(func(row int) {
-		key := groupKey(groupCols, row)
+		key := groupKey(p.groupCols, row)
 		g, ok := groups[key]
 		if !ok {
 			g = &groupState{firstRow: row, accs: make([]*aggAccumulator, len(stmt.Aggs))}
@@ -60,53 +111,33 @@ func executeAggregation(stmt *SelectStmt, base *frame.Frame, mask *frame.Bitmap)
 			order = append(order, key)
 		}
 		for i := range stmt.Aggs {
-			g.accs[i].add(aggCols[i], row)
+			g.accs[i].add(p.aggCols[i], row)
 		}
 	})
 
-	// Assemble the output frame: grouping columns first, aggregates after.
-	b := frame.NewBuilder(base.Name())
-	groupIdx := make([]int, len(groupCols))
-	for i, c := range groupCols {
-		if c.Kind() == frame.Numeric {
-			groupIdx[i] = b.AddNumeric(c.Name())
-		} else {
-			groupIdx[i] = b.AddCategorical(c.Name())
-		}
-	}
-	aggIdx := make([]int, len(stmt.Aggs))
-	aggIsNumeric := make([]bool, len(stmt.Aggs))
-	for i, a := range stmt.Aggs {
-		// MIN/MAX over categorical columns yield strings; everything else
-		// is numeric.
-		if (a.Func == "MIN" || a.Func == "MAX") && aggCols[i] != nil && aggCols[i].Kind() == frame.Categorical {
-			aggIdx[i] = b.AddCategorical(a.OutputName())
-		} else {
-			aggIdx[i] = b.AddNumeric(a.OutputName())
-			aggIsNumeric[i] = true
-		}
-	}
+	b := p.output(stmt.Table)
 	for _, key := range order {
 		g := groups[key]
-		for i, c := range groupCols {
+		for i, c := range p.groupCols {
 			switch {
 			case c.IsNull(g.firstRow):
-				b.AppendNull(groupIdx[i])
+				b.AppendNull(i)
 			case c.Kind() == frame.Numeric:
-				b.AppendFloat(groupIdx[i], c.Float(g.firstRow))
+				b.AppendFloat(i, c.Float(g.firstRow))
 			default:
-				b.AppendStr(groupIdx[i], c.Str(g.firstRow))
+				b.AppendStr(i, c.Str(g.firstRow))
 			}
 		}
 		for i := range stmt.Aggs {
+			col := len(p.groupCols) + i
 			num, str, isNull := g.accs[i].result()
 			switch {
 			case isNull:
-				b.AppendNull(aggIdx[i])
-			case aggIsNumeric[i]:
-				b.AppendFloat(aggIdx[i], num)
+				b.AppendNull(col)
+			case p.yieldsString(i):
+				b.AppendStr(col, str)
 			default:
-				b.AppendStr(aggIdx[i], str)
+				b.AppendFloat(col, num)
 			}
 		}
 	}
@@ -115,25 +146,22 @@ func executeAggregation(stmt *SelectStmt, base *frame.Frame, mask *frame.Bitmap)
 		return nil, err
 	}
 
-	// ORDER BY over the aggregated output (keys may name group columns or
-	// aggregate output names).
-	if len(stmt.OrderBy) > 0 {
-		out, err = sortFrame(out, stmt.OrderBy)
-		if err != nil {
-			return nil, err
-		}
+	keys, err := resolveOrder(out, stmt.OrderBy)
+	if err != nil {
+		return nil, err
 	}
-	if stmt.Limit >= 0 && stmt.Limit < out.NumRows() {
-		idx := make([]int, stmt.Limit)
-		for i := range idx {
-			idx[i] = i
-		}
-		out, err = materializeInOrder(out, idx)
-		if err != nil {
-			return nil, err
-		}
+	idx := make([]int, out.NumRows())
+	for i := range idx {
+		idx[i] = i
 	}
-	return out, nil
+	sortRows(idx, keys)
+	if stmt.Limit >= 0 && stmt.Limit < len(idx) {
+		idx = idx[:stmt.Limit]
+	}
+	if len(keys) == 0 && len(idx) == out.NumRows() {
+		return out, nil
+	}
+	return materializeInOrder(out, idx)
 }
 
 // groupKey builds a hashable key from the grouping values of one row.
@@ -239,39 +267,4 @@ func (a *aggAccumulator) result() (num float64, str string, isNull bool) {
 	default:
 		return 0, "", true
 	}
-}
-
-// sortFrame returns f's rows reordered by the given keys (all of which must
-// be columns of f).
-func sortFrame(f *frame.Frame, keys []OrderKey) (*frame.Frame, error) {
-	type sortCol struct {
-		col  *frame.Column
-		desc bool
-	}
-	cols := make([]sortCol, len(keys))
-	for i, k := range keys {
-		c, ok := f.Lookup(k.Column)
-		if !ok {
-			return nil, evalErrorf("unknown column %q in ORDER BY", k.Column)
-		}
-		cols[i] = sortCol{col: c, desc: k.Desc}
-	}
-	idx := make([]int, f.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		for _, k := range cols {
-			cmp := compareRows(k.col, idx[a], idx[b])
-			if cmp == 0 {
-				continue
-			}
-			if k.desc {
-				return cmp > 0
-			}
-			return cmp < 0
-		}
-		return false
-	})
-	return materializeInOrder(f, idx)
 }

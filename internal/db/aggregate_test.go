@@ -43,7 +43,7 @@ func salesCatalog(t *testing.T) *Catalog {
 
 func TestGlobalAggregates(t *testing.T) {
 	cat := salesCatalog(t)
-	res, err := cat.Query("SELECT COUNT(*), SUM(amount), AVG(amount), MIN(amount), MAX(amount) FROM sales")
+	res, err := query(t, cat, "SELECT COUNT(*), SUM(amount), AVG(amount), MIN(amount), MAX(amount) FROM sales")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestGlobalAggregates(t *testing.T) {
 
 func TestGroupBy(t *testing.T) {
 	cat := salesCatalog(t)
-	res, err := cat.Query("SELECT region, COUNT(*), SUM(amount) FROM sales GROUP BY region ORDER BY region")
+	res, err := query(t, cat, "SELECT region, COUNT(*), SUM(amount) FROM sales GROUP BY region ORDER BY region")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestGroupBy(t *testing.T) {
 
 func TestGroupByMultipleKeys(t *testing.T) {
 	cat := salesCatalog(t)
-	res, err := cat.Query("SELECT region, product, COUNT(*) FROM sales GROUP BY region, product ORDER BY region, product")
+	res, err := query(t, cat, "SELECT region, product, COUNT(*) FROM sales GROUP BY region, product ORDER BY region, product")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestGroupByMultipleKeys(t *testing.T) {
 func TestAggregatesSkipNulls(t *testing.T) {
 	cat := salesCatalog(t)
 	// units has one NULL (west/gadget row).
-	res, err := cat.Query("SELECT COUNT(units), SUM(units), AVG(units) FROM sales")
+	res, err := query(t, cat, "SELECT COUNT(units), SUM(units), AVG(units) FROM sales")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestAggregatesSkipNulls(t *testing.T) {
 
 func TestAggregateAliases(t *testing.T) {
 	cat := salesCatalog(t)
-	res, err := cat.Query("SELECT AVG(amount) AS mean_revenue FROM sales")
+	res, err := query(t, cat, "SELECT AVG(amount) AS mean_revenue FROM sales")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestAggregateAliases(t *testing.T) {
 
 func TestMinMaxOnCategorical(t *testing.T) {
 	cat := salesCatalog(t)
-	res, err := cat.Query("SELECT MIN(product), MAX(product) FROM sales")
+	res, err := query(t, cat, "SELECT MIN(product), MAX(product) FROM sales")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestMinMaxOnCategorical(t *testing.T) {
 
 func TestAggregationWithWhere(t *testing.T) {
 	cat := salesCatalog(t)
-	res, err := cat.Query("SELECT region, SUM(amount) FROM sales WHERE product = 'widget' GROUP BY region ORDER BY region")
+	res, err := query(t, cat, "SELECT region, SUM(amount) FROM sales WHERE product = 'widget' GROUP BY region ORDER BY region")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestAggregationWithWhere(t *testing.T) {
 
 func TestAggregationOrderByAggregate(t *testing.T) {
 	cat := salesCatalog(t)
-	res, err := cat.Query("SELECT product, SUM(amount) FROM sales GROUP BY product ORDER BY sum_amount DESC")
+	res, err := query(t, cat, "SELECT product, SUM(amount) FROM sales GROUP BY product ORDER BY sum_amount DESC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestAggregationOrderByAggregate(t *testing.T) {
 
 func TestAggregationLimit(t *testing.T) {
 	cat := salesCatalog(t)
-	res, err := cat.Query("SELECT region, product, COUNT(*) FROM sales GROUP BY region, product LIMIT 2")
+	res, err := query(t, cat, "SELECT region, product, COUNT(*) FROM sales GROUP BY region, product LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestAggregationLimit(t *testing.T) {
 
 func TestGroupByWithoutAggregatesActsAsDistinct(t *testing.T) {
 	cat := salesCatalog(t)
-	res, err := cat.Query("SELECT region FROM sales GROUP BY region ORDER BY region")
+	res, err := query(t, cat, "SELECT region FROM sales GROUP BY region ORDER BY region")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestGroupByWithoutAggregatesActsAsDistinct(t *testing.T) {
 
 func TestGroupByNumericKey(t *testing.T) {
 	cat := salesCatalog(t)
-	res, err := cat.Query("SELECT amount, COUNT(*) FROM sales GROUP BY amount ORDER BY amount")
+	res, err := query(t, cat, "SELECT amount, COUNT(*) FROM sales GROUP BY amount ORDER BY amount")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestAggregationErrors(t *testing.T) {
 		"SELECT product, COUNT(*) FROM sales GROUP BY product ORDER BY sum_amount", // order key not in output
 	}
 	for _, q := range bad {
-		if _, err := cat.Query(q); err == nil {
+		if _, err := query(t, cat, q); err == nil {
 			t.Errorf("%s: expected error", q)
 		}
 	}
@@ -254,7 +254,7 @@ func TestAggregationErrors(t *testing.T) {
 
 func TestEmptySelectionAggregates(t *testing.T) {
 	cat := salesCatalog(t)
-	res, err := cat.Query("SELECT COUNT(*), SUM(amount) FROM sales WHERE amount > 1e9")
+	res, err := query(t, cat, "SELECT COUNT(*), SUM(amount) FROM sales WHERE amount > 1e9")
 	if err != nil {
 		t.Fatal(err)
 	}

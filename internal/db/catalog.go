@@ -63,8 +63,22 @@ type Result struct {
 	// Mask is the WHERE selection over the base table, before ORDER BY and
 	// LIMIT. This is the Cᴵ/Cᴼ split Ziggy consumes.
 	Mask *frame.Bitmap
-	// Rows is the materialized result: projected, ordered and limited.
+	// Rows is the materialized result: projected, ordered and limited. It
+	// is nil in a Select result.
 	Rows *frame.Frame
+}
+
+// Select parses sql, validates it against its table and computes the WHERE
+// mask, building no result rows (Rows is nil). It rejects exactly the
+// statements Query rejects, with the same errors, so a characterization
+// never runs on a selection whose query would fail.
+func (c *Catalog) Select(sql string) (*Result, error) {
+	stmt, err := Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := c.plan(stmt)
+	return res, err
 }
 
 // Query parses and executes sql against the catalog.
@@ -76,11 +90,33 @@ func (c *Catalog) Query(sql string) (*Result, error) {
 	return c.Execute(stmt)
 }
 
-// Execute runs a parsed statement.
+// Execute runs a parsed statement: the selection, then its materialized
+// Rows.
 func (c *Catalog) Execute(stmt *SelectStmt) (*Result, error) {
+	res, m, err := c.plan(stmt)
+	if err != nil {
+		return nil, err
+	}
+	if res.Rows, err = m.rows(res.Mask); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// materializer builds the result rows of a validated statement from its
+// selection mask.
+type materializer interface {
+	rows(mask *frame.Bitmap) (*frame.Frame, error)
+}
+
+// plan computes stmt's selection and validates the rest of the statement
+// against the base table, returning the Result without Rows and the
+// materializer that builds them. Every error a statement can raise is
+// raised here.
+func (c *Catalog) plan(stmt *SelectStmt) (*Result, materializer, error) {
 	base, ok := c.tables[stmt.Table]
 	if !ok {
-		return nil, evalErrorf("unknown table %q", stmt.Table)
+		return nil, nil, evalErrorf("unknown table %q", stmt.Table)
 	}
 
 	// WHERE.
@@ -91,84 +127,105 @@ func (c *Catalog) Execute(stmt *SelectStmt) (*Result, error) {
 	} else {
 		m, err := EvalPredicate(base, stmt.Where)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		mask = m
 	}
-	return c.finish(stmt, base, mask)
-}
 
-func (c *Catalog) finish(stmt *SelectStmt, base *frame.Frame, mask *frame.Bitmap) (*Result, error) {
 	// Aggregation queries follow their own materialization path; the
 	// selection mask over the base table is preserved either way.
+	var m materializer
+	var err error
 	if len(stmt.Aggs) > 0 {
-		rows, err := executeAggregation(stmt, base, mask)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Stmt: stmt, Base: base, Mask: mask, Rows: rows}, nil
+		m, err = planAggregation(stmt, base)
+	} else {
+		m, err = planRows(stmt, base)
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Result{Stmt: stmt, Base: base, Mask: mask}, m, nil
+}
 
-	// Validate projection before doing any work.
+// rowPlan is a validated plain SELECT: the projected view of the base
+// table, the resolved ORDER BY keys and the limit.
+type rowPlan struct {
+	projected *frame.Frame
+	keys      []sortKey
+	limit     int
+}
+
+func planRows(stmt *SelectStmt, base *frame.Frame) (*rowPlan, error) {
 	projected := base
 	if len(stmt.Columns) > 0 {
 		var err error
-		projected, err = base.Select(stmt.Columns...)
-		if err != nil {
+		if projected, err = base.Select(stmt.Columns...); err != nil {
 			return nil, evalErrorf("%v", err)
 		}
 	}
-
-	idx := mask.Indices()
-
-	// ORDER BY over the selected row indices.
-	if len(stmt.OrderBy) > 0 {
-		type sortCol struct {
-			col  *frame.Column
-			desc bool
-		}
-		keys := make([]sortCol, len(stmt.OrderBy))
-		for i, k := range stmt.OrderBy {
-			col, ok := base.Lookup(k.Column)
-			if !ok {
-				return nil, evalErrorf("unknown column %q in ORDER BY", k.Column)
-			}
-			keys[i] = sortCol{col: col, desc: k.Desc}
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			ra, rb := idx[a], idx[b]
-			for _, k := range keys {
-				cmp := compareRows(k.col, ra, rb)
-				if cmp == 0 {
-					continue
-				}
-				if k.desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-			return false
-		})
-	}
-
-	// LIMIT.
-	if stmt.Limit >= 0 && stmt.Limit < len(idx) {
-		idx = idx[:stmt.Limit]
-	}
-
-	rows, err := projected.Filter(frame.BitmapFromIndices(base.NumRows(), idx))
+	// ORDER BY keys name base columns, projected or not.
+	keys, err := resolveOrder(base, stmt.OrderBy)
 	if err != nil {
 		return nil, err
 	}
-	// Filter loses ORDER BY ordering (bitmap iteration is ascending), so
-	// re-materialize in sorted order when ORDER BY is present.
-	if len(stmt.OrderBy) > 0 {
-		rows, err = materializeInOrder(projected, idx)
-		if err != nil {
-			return nil, err
-		}
+	return &rowPlan{projected: projected, keys: keys, limit: stmt.Limit}, nil
+}
+
+// rows materializes the selected rows: filtered straight off the mask
+// unless ORDER BY or LIMIT needs the row indices.
+func (p *rowPlan) rows(mask *frame.Bitmap) (*frame.Frame, error) {
+	if len(p.keys) == 0 && p.limit < 0 {
+		return p.projected.Filter(mask)
 	}
-	return &Result{Stmt: stmt, Base: base, Mask: mask, Rows: rows}, nil
+	idx := mask.Indices()
+	sortRows(idx, p.keys)
+	if p.limit >= 0 && p.limit < len(idx) {
+		idx = idx[:p.limit]
+	}
+	if len(p.keys) > 0 {
+		return materializeInOrder(p.projected, idx)
+	}
+	return p.projected.Filter(frame.BitmapFromIndices(mask.Len(), idx))
+}
+
+// sortKey is one resolved ORDER BY term.
+type sortKey struct {
+	col  *frame.Column
+	desc bool
+}
+
+// resolveOrder looks the ORDER BY columns up in f.
+func resolveOrder(f *frame.Frame, order []OrderKey) ([]sortKey, error) {
+	keys := make([]sortKey, len(order))
+	for i, k := range order {
+		col, ok := f.Lookup(k.Column)
+		if !ok {
+			return nil, evalErrorf("unknown column %q in ORDER BY", k.Column)
+		}
+		keys[i] = sortKey{col: col, desc: k.Desc}
+	}
+	return keys, nil
+}
+
+// sortRows stably orders row indices by keys.
+func sortRows(idx []int, keys []sortKey) {
+	if len(keys) == 0 {
+		return
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		ra, rb := idx[a], idx[b]
+		for _, k := range keys {
+			cmp := compareRows(k.col, ra, rb)
+			if cmp == 0 {
+				continue
+			}
+			if k.desc {
+				return cmp > 0
+			}
+			return cmp < 0
+		}
+		return false
+	})
 }
 
 // compareRows orders two rows of one column: NULLs sort last, numbers by

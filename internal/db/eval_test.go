@@ -45,7 +45,7 @@ func testCatalog(t *testing.T) *Catalog {
 
 func selectedRows(t *testing.T, cat *Catalog, sql string) []int {
 	t.Helper()
-	res, err := cat.Query(sql)
+	res, err := query(t, cat, sql)
 	if err != nil {
 		t.Fatalf("Query(%q): %v", sql, err)
 	}
@@ -168,7 +168,7 @@ func TestTypeMismatchErrors(t *testing.T) {
 		"SELECT * FROM cities ORDER BY nosuch",
 	}
 	for _, sql := range bad {
-		if _, err := cat.Query(sql); err == nil {
+		if _, err := query(t, cat, sql); err == nil {
 			t.Errorf("%s: expected error", sql)
 		}
 	}
@@ -176,7 +176,7 @@ func TestTypeMismatchErrors(t *testing.T) {
 
 func TestProjection(t *testing.T) {
 	cat := testCatalog(t)
-	res, err := cat.Query("SELECT name, pop FROM cities WHERE state = 'CA'")
+	res, err := query(t, cat, "SELECT name, pop FROM cities WHERE state = 'CA'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestProjection(t *testing.T) {
 
 func TestOrderByAndLimit(t *testing.T) {
 	cat := testCatalog(t)
-	res, err := cat.Query("SELECT name, pop FROM cities WHERE pop IS NOT NULL ORDER BY pop DESC LIMIT 3")
+	res, err := query(t, cat, "SELECT name, pop FROM cities WHERE pop IS NOT NULL ORDER BY pop DESC LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestOrderByAndLimit(t *testing.T) {
 
 func TestOrderByNullsLast(t *testing.T) {
 	cat := testCatalog(t)
-	res, err := cat.Query("SELECT name FROM cities ORDER BY crime")
+	res, err := query(t, cat, "SELECT name FROM cities ORDER BY crime")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestOrderByNullsLast(t *testing.T) {
 
 func TestOrderByMultipleKeys(t *testing.T) {
 	cat := testCatalog(t)
-	res, err := cat.Query("SELECT state, name FROM cities ORDER BY state ASC, name DESC")
+	res, err := query(t, cat, "SELECT state, name FROM cities ORDER BY state ASC, name DESC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestOrderByMultipleKeys(t *testing.T) {
 
 func TestLimitZero(t *testing.T) {
 	cat := testCatalog(t)
-	res, err := cat.Query("SELECT * FROM cities LIMIT 0")
+	res, err := query(t, cat, "SELECT * FROM cities LIMIT 0")
 	if err != nil {
 		t.Fatal(err)
 	}

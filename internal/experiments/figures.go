@@ -41,7 +41,7 @@ func NewCrimeScenario(seed uint64) (*CrimeScenario, error) {
 		return nil, err
 	}
 	sql := fmt.Sprintf("SELECT * FROM uscrime WHERE crime_violent_rate >= %g", q90)
-	res, err := cat.Query(sql)
+	res, err := cat.Select(sql)
 	if err != nil {
 		return nil, err
 	}

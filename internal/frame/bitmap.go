@@ -41,22 +41,26 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// BitmapFromBools builds a bitmap from a boolean slice.
+// BitmapFromBools builds a bitmap from a boolean slice. The words are
+// filled before the bitmap exists, so no per-bit fingerprint invalidation
+// is paid.
 func BitmapFromBools(vals []bool) *Bitmap {
-	b := NewBitmap(len(vals))
+	words := make([]uint64, (len(vals)+63)/64)
 	for i, v := range vals {
 		if v {
-			b.Set(i)
+			words[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-	return b
+	return &Bitmap{words: words, n: len(vals)}
 }
 
 // BitmapFromIndices builds a bitmap over n rows with the given indices set.
+// It panics on an index outside [0, n), as Set does.
 func BitmapFromIndices(n int, idx []int) *Bitmap {
 	b := NewBitmap(n)
 	for _, i := range idx {
-		b.Set(i)
+		b.checkIndex(i)
+		b.words[i>>6] |= 1 << (uint(i) & 63)
 	}
 	return b
 }

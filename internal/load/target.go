@@ -108,7 +108,7 @@ func NewRouterTarget(cfg core.Config, sched *Schedule, params shard.Params) (*Ro
 // Name implements Target.
 func (t *RouterTarget) Name() string { return "router" }
 
-// Do implements Target: execute the query and characterize the selection
+// Do implements Target: select the query's rows and characterize them
 // on the mode's router, mirroring ziggyd's request handling (including the
 // server-side excludePredicate expansion).
 func (t *RouterTarget) Do(req *Request) (*Outcome, error) {
@@ -116,7 +116,7 @@ func (t *RouterTarget) Do(req *Request) (*Outcome, error) {
 	if !ok {
 		return nil, fmt.Errorf("load: no router for mode %s", req.Mode)
 	}
-	res, err := t.catalog.Query(req.SQL)
+	res, err := t.catalog.Select(req.SQL)
 	if err != nil {
 		return nil, err
 	}

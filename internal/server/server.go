@@ -244,7 +244,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("missing sql"))
 		return
 	}
-	res, err := s.catalog.Query(req.SQL)
+	res, err := s.catalog.Select(req.SQL)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return

@@ -438,9 +438,6 @@ type QueryReport struct {
 	*Report
 	// SQL is the characterized query.
 	SQL string
-	// Rows is the materialized query result (projection, order, limit
-	// applied).
-	Rows *Frame
 	// Mask is the selection over the base table.
 	Mask *Bitmap
 	// Base is the queried table.
@@ -456,7 +453,7 @@ func (s *Session) Characterize(sql string) (*QueryReport, error) {
 // by the query's WHERE clause are usually worth excluding via
 // opts.ExcludeColumns; PredicateColumns computes them.
 func (s *Session) CharacterizeOpts(sql string, opts Options) (*QueryReport, error) {
-	res, err := s.catalog.Query(sql)
+	res, err := s.catalog.Select(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -464,7 +461,7 @@ func (s *Session) CharacterizeOpts(sql string, opts Options) (*QueryReport, erro
 	if err != nil {
 		return nil, fmt.Errorf("ziggy: characterizing %q: %w", sql, err)
 	}
-	return &QueryReport{Report: rep, SQL: sql, Rows: res.Rows, Mask: res.Mask, Base: res.Base}, nil
+	return &QueryReport{Report: rep, SQL: sql, Mask: res.Mask, Base: res.Base}, nil
 }
 
 // Query executes SQL without characterization, returning the result rows

@@ -85,7 +85,7 @@ func TestEndToEndCharacterization(t *testing.T) {
 	if len(rep.Views) == 0 {
 		t.Fatal("no views")
 	}
-	if rep.SQL == "" || rep.Base == nil || rep.Mask == nil || rep.Rows == nil {
+	if rep.SQL == "" || rep.Base == nil || rep.Mask == nil {
 		t.Fatal("QueryReport incomplete")
 	}
 	// The scale block must surface: budget/opening/theaters correlate with
